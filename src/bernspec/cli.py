@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 from bernspec.exact import (
@@ -24,14 +25,15 @@ from bernspec.exact import (
     mu_hat,
     mu_hat_product,
 )
+# the verify_* names are called by name through VERIFY_SUITES
 from bernspec.matrixlab import (
     TruncatedMatrix,
-    analyze_w0_sparsity,
     verify_block_diagonal,
     verify_block_equality,
     verify_commutation_even,
     verify_multiplication_identity,
     verify_odd_twisted_relations,
+    verify_w0_sparsity,
 )
 from bernspec.operators import parseval_partial, verify_cuntz_relations
 from bernspec.report import CheckReport
@@ -43,17 +45,6 @@ from bernspec.spectrum import (
 )
 
 OUTPUT_DIR_ENV = "BERNSPEC_OUTPUT_DIR"
-
-SUITES = (
-    "cuntz",
-    "block-diagonal",
-    "block-equality",
-    "commute-even",
-    "commute-odd",
-    "multiplication",
-    "w0-sparsity",
-    "all",
-)
 
 
 def parse_frequency(text: str) -> QuarterInt | float:
@@ -87,10 +78,10 @@ def _resolve_output(path_text: str) -> Path:
 def cmd_muhat(args: argparse.Namespace) -> int:
     params = BernoulliParams(args.n, args.p)
     t = parse_frequency(args.t)
-    if isinstance(t, QuarterInt) and args.terms is None:
+    if args.terms is None:
         result = mu_hat(t, params, args.tol)
     else:
-        result = mu_hat_product(t, params, args.terms or 64)
+        result = mu_hat_product(t, params, args.terms)
     if args.json:
         print(json.dumps({
             "t": args.t,
@@ -143,74 +134,75 @@ def cmd_matrix(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sparsity_report(max_digits: int, tilde_max: int | None,
-                     require_witnesses: bool) -> CheckReport:
-    result = analyze_w0_sparsity(max_digits, tilde_max)
-    report = result.check
-    if require_witnesses:
-        for block in result.star_blocks():
-            report.checked += 1
-            if block.witness is None:
-                report.add(
-                    f"star block ({block.row_class}, {block.col_class}) has "
-                    f"no nonzero witness at this truncation depth")
-    return report
+@dataclass(frozen=True)
+class Suite:
+    """A `verify` suite: its verifier, its flags and its `verify all` runs.
+
+    defaults maps each flag the suite takes, by its argparse dest (also
+    the verifier's keyword), to its default.  n and p reach the verifier
+    as one BernoulliParams; p None means 5 when n = 2 and 3 otherwise.
+    battery lists the `verify all` runs as overrides of defaults.  The
+    verifier is held by name and looked up in this module when the suite
+    runs, so a replaced module attribute takes effect.
+    """
+
+    name: str
+    verifier: str
+    defaults: dict
+    battery: tuple[dict, ...] = ({},)
+
+    def run(self, settings: dict) -> CheckReport:
+        kwargs = {**self.defaults, **settings}
+        if "n" in kwargs:
+            n, p = kwargs.pop("n"), kwargs.pop("p", None)
+            if p is None and "p" in self.defaults:
+                p = 5 if n == 2 else 3
+            kwargs["params"] = BernoulliParams(n, p)
+        return globals()[self.verifier](**kwargs)
 
 
-def _battery() -> list[CheckReport]:
-    # the full theorem battery at the canonical desk-scale parameters
-    reports = []
-    for n in (2, 3, 4):
-        reports.append(verify_cuntz_relations(BernoulliParams(n), 8))
-    for n, p in ((2, 5), (4, 3)):
-        reports.append(verify_block_diagonal(BernoulliParams(n, p), 6))
-    reports.append(verify_block_equality(BernoulliParams(2, 5), 6, 3))
-    for n, p in ((2, 5), (4, 3)):
-        reports.append(verify_commutation_even(BernoulliParams(n, p), 5))
-    for p in (3, 5):
-        reports.append(verify_odd_twisted_relations(BernoulliParams(3, p), 4))
-    reports.append(verify_multiplication_identity(6))
-    reports.append(_sparsity_report(7, 4, require_witnesses=True))
-    return reports
+VERIFY_SUITES = {suite.name: suite for suite in (
+    Suite("cuntz", "verify_cuntz_relations", {"n": 2, "max_digits": 8},
+          ({}, {"n": 3}, {"n": 4})),
+    Suite("block-diagonal", "verify_block_diagonal",
+          {"n": 2, "p": None, "max_digits": 6}, ({}, {"n": 4})),
+    Suite("block-equality", "verify_block_equality",
+          {"n": 2, "p": None, "max_digits": 6, "k_max": 3}),
+    Suite("commute-even", "verify_commutation_even",
+          {"n": 2, "p": None, "max_digits": 5}, ({}, {"n": 4})),
+    Suite("commute-odd", "verify_odd_twisted_relations",
+          {"n": 3, "p": None, "max_digits": 4}, ({}, {"p": 5})),
+    Suite("multiplication", "verify_multiplication_identity",
+          {"max_digits": 6, "tol": 1e-6}),
+    Suite("w0-sparsity", "verify_w0_sparsity",
+          {"max_digits": 6, "tilde_max": None, "require_witnesses": False},
+          ({"max_digits": 7, "tilde_max": 4, "require_witnesses": True},)),
+)}
+
+
+def _flags(dests) -> str:
+    return ", ".join("--" + dest.replace("_", "-") for dest in dests)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    suite = args.suite
-    digits = args.max_digits
-
-    def params_for(default_n: int, default_p: int | None = None):
-        n = args.n if args.n is not None else default_n
-        p = args.p
-        if p is None and default_p is not None:
-            p = default_p if n == 2 else 3
-        return BernoulliParams(n, p)
-
-    if suite == "all":
-        reports = _battery()
-    elif suite == "cuntz":
-        reports = [verify_cuntz_relations(
-            params_for(2), 8 if digits is None else digits)]
-    elif suite == "block-diagonal":
-        reports = [verify_block_diagonal(
-            params_for(2, 5), 6 if digits is None else digits)]
-    elif suite == "block-equality":
-        reports = [verify_block_equality(
-            params_for(2, 5), 6 if digits is None else digits, args.k_max)]
-    elif suite == "commute-even":
-        reports = [verify_commutation_even(
-            params_for(2, 5), 5 if digits is None else digits)]
-    elif suite == "commute-odd":
-        n = args.n if args.n is not None else 3
-        p = args.p if args.p is not None else 3
-        reports = [verify_odd_twisted_relations(
-            BernoulliParams(n, p), 4 if digits is None else digits)]
-    elif suite == "multiplication":
-        reports = [verify_multiplication_identity(
-            6 if digits is None else digits, args.tol)]
+    given = {
+        dest: getattr(args, dest)
+        for suite in VERIFY_SUITES.values() for dest in suite.defaults
+        if getattr(args, dest) is not None
+    }
+    if args.suite == "all":
+        accepted = {}
+        runs = [(suite, settings) for suite in VERIFY_SUITES.values()
+                for settings in suite.battery]
     else:
-        reports = [_sparsity_report(
-            6 if digits is None else digits, args.tilde_max,
-            args.require_witnesses)]
+        accepted = VERIFY_SUITES[args.suite].defaults
+        runs = [(VERIFY_SUITES[args.suite], given)]
+    unknown = [dest for dest in given if dest not in accepted]
+    if unknown:
+        raise ValueError(
+            f"verify {args.suite} does not take {_flags(unknown)}; "
+            f"it takes {_flags(accepted) or 'no flags'}")
+    reports = [suite.run(settings) for suite, settings in runs]
 
     for report in reports:
         for line in report.lines():
@@ -249,10 +241,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     t = parse_frequency(args.t)
     if any(samples < 1 for samples in args.samples):
         raise ValueError("samples must be >= 1")
-    if isinstance(t, QuarterInt):
-        reference = mu_hat(t, params, args.tol)
-    else:
-        reference = mu_hat_product(t, params, 64)
+    reference = mu_hat(t, params, args.tol)
     print("samples estimate std_error reference deviation_sigmas")
     for samples in args.samples:
         estimate = chaos_game_estimate(t, params, samples, seed=args.seed)
@@ -321,15 +310,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser(
         "verify", help="run a verification suite; exit 0 iff no violations")
-    p_verify.add_argument("suite", choices=SUITES)
+    p_verify.add_argument("suite", choices=[*VERIFY_SUITES, "all"])
+    # None marks a flag as not given; each suite's defaults are in
+    # VERIFY_SUITES
     p_verify.add_argument("--n", type=int, default=None)
     p_verify.add_argument("--p", type=int, default=None)
     p_verify.add_argument("--max-digits", type=int, default=None)
-    p_verify.add_argument("--k-max", type=int, default=3)
+    p_verify.add_argument("--k-max", type=int, default=None)
     p_verify.add_argument("--tilde-max", type=int, default=None)
-    p_verify.add_argument("--tol", type=float, default=1e-6,
+    p_verify.add_argument("--tol", type=float, default=None,
                           help="numeric match tolerance (multiplication)")
     p_verify.add_argument("--require-witnesses", action="store_true",
+                          default=None,
                           help="w0-sparsity: demand a nonzero witness in "
                                "every star block")
     p_verify.set_defaults(func=cmd_verify)

@@ -101,10 +101,11 @@ class BernoulliParams:
     p: int | None = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 1:
+        # type(...) is int also turns away bool, an int subclass
+        if type(self.n) is not int or self.n < 1:
             raise ValueError(f"n must be a positive integer, got {self.n!r}")
         if self.p is not None and (
-            not isinstance(self.p, int) or self.p < 3 or self.p % 2 == 0
+            type(self.p) is not int or self.p < 3 or self.p % 2 == 0
         ):
             raise ValueError(f"p must be an odd integer >= 3, got {self.p!r}")
 
@@ -355,17 +356,24 @@ def _terms_for(x: float, base: int, tol: float) -> int:
     return max(4, math.ceil(k) + 2)
 
 
-def mu_hat(t: QuarterInt, params: BernoulliParams, tol: float = 1e-12) -> MuHatValue:
-    """Certified transform value at a quarter-integer point.
+def mu_hat(t: QuarterInt | float, params: BernoulliParams,
+           tol: float = 1e-12) -> MuHatValue:
+    """Certified transform value at a quarter-integer or a real point.
 
     Zero-set members return an exact zero.  Otherwise the argument is fully
     reduced and the truncated product is evaluated with enough terms to put
     the truncation part of the bound below tol.  The reported error_bound
     is the honest total (truncation plus rounding), so it can exceed an
-    extremely small tol; it is never understated.
+    extremely small tol; it is never understated.  A float t skips the
+    integer reduction: one product, sized the same way, over its factors.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
+    if not isinstance(t, QuarterInt):
+        x = float(t)
+        if not math.isfinite(x):
+            raise ValueError(f"t must be finite, got {t!r}")
+        return mu_hat_product(x, params, _terms_for(x, params.base, tol))
     if in_zero_set(t, params):
         return MuHatValue.zero()
     sign, reduced = reduce_argument(t, params)

@@ -190,6 +190,32 @@ class TruncatedMatrix:
 # structure verifiers
 
 
+def _at(where: tuple[str, Word, str, Word]) -> str:
+    first, first_word, second, second_word = where
+    return (f"{first} {word_to_bits(first_word)!r}, "
+            f"{second} {word_to_bits(second_word)!r}")
+
+
+def _check_pair(report: CheckReport, params: BernoulliParams, got: QuarterInt,
+                want: QuarterInt | None, failure: str,
+                where: tuple[str, Word, str, Word], flip: bool = False) -> bool:
+    """Count one exact check that got and want reduce to the same pair.
+
+    The pairs are reduce_argument's (sign, reduced); flip negates want's
+    sign first.  want None demands instead that got lies in the zero set.
+    A failure is reported as "<failure> at <label> <word>, <label> <word>".
+    """
+    report.checked += 1
+    if want is None:
+        holds = in_zero_set(got, params)
+    else:
+        sign, reduced = reduce_argument(want, params)
+        holds = reduce_argument(got, params) == (-sign if flip else sign, reduced)
+    if not holds:
+        report.add(f"{failure} at {_at(where)}")
+    return holds
+
+
 def verify_block_diagonal(params: BernoulliParams, max_digits: int) -> CheckReport:
     """Entries across distinct strata vanish exactly, zero row/column included.
 
@@ -199,19 +225,16 @@ def verify_block_diagonal(params: BernoulliParams, max_digits: int) -> CheckRepo
     report = CheckReport(
         f"block-diagonal(n={params.n}, p={params.require_p()}, "
         f"digits<={max_digits})")
-    words = enumerate_spectrum(params, max_digits)
-    values = [word_value(w, params) for w in words]
-    strata = [stratum_index(w) for w in words]
+    words = [(w, word_value(w, params), stratum_index(w))
+             for w in enumerate_spectrum(params, max_digits)]
     p = params.require_p()
-    for j, col in enumerate(words):
-        for i, row in enumerate(words):
-            if strata[i] == strata[j]:
-                continue
-            report.checked += 1
-            if not in_zero_set(p * values[j] - values[i], params):
-                report.add(
-                    f"nonzero entry off the block diagonal at "
-                    f"row {word_to_bits(row)!r}, col {word_to_bits(col)!r}")
+    for col, col_value, col_stratum in words:
+        scaled = p * col_value
+        for row, row_value, row_stratum in words:
+            if row_stratum != col_stratum:
+                _check_pair(report, params, scaled - row_value, None,
+                            "nonzero entry off the block diagonal",
+                            ("row", row, "col", col))
     return report
 
 
@@ -230,24 +253,17 @@ def verify_block_equality(
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     p = params.require_p()
-    stratum0 = [
-        w for w in enumerate_spectrum(params, max_digits) if w and w[0] == 1
-    ]
+    stratum0 = [(w, word_value(w, params))
+                for w in enumerate_spectrum(params, max_digits) if w and w[0] == 1]
     for k in range(1, k_max + 1):
-        shared = [w for w in stratum0 if len(w) + k <= max_digits]
-        for col in shared:
-            for row in shared:
-                report.checked += 1
-                base_arg = p * word_value(col, params) - word_value(row, params)
-                shifted_arg = (
-                    p * word_value((0,) * k + col, params)
-                    - word_value((0,) * k + row, params)
-                )
-                if reduce_argument(shifted_arg, params) != \
-                        reduce_argument(base_arg, params):
-                    report.add(
-                        f"stratum-{k} entry differs from stratum-0 at "
-                        f"row {word_to_bits(row)!r}, col {word_to_bits(col)!r}")
+        shared = [(w, value, word_value((0,) * k + w, params))
+                  for w, value in stratum0 if len(w) + k <= max_digits]
+        failure = f"stratum-{k} entry differs from stratum-0"
+        for col, col_value, col_shifted in shared:
+            scaled, scaled_shifted = p * col_value, p * col_shifted
+            for row, row_value, row_shifted in shared:
+                _check_pair(report, params, scaled_shifted - row_shifted,
+                            scaled - row_value, failure, ("row", row, "col", col))
     return report
 
 
@@ -265,33 +281,20 @@ def verify_commutation_even(params: BernoulliParams, max_digits: int) -> CheckRe
         f"digits<={max_digits})")
     p = params.require_p()
     base = params.base
-    inner = enumerate_spectrum(params, max(0, max_digits - 1))
-    for g in inner:
-        gv = word_value(g, params)
-        for x in inner:
-            xv = word_value(x, params)
-            report.checked += 1
-            plain = p * gv - xv
-            shifted = base * p * gv - base * xv
-            if reduce_argument(shifted, params) != reduce_argument(plain, params):
-                report.add(
-                    f"coefficient mismatch at gamma {word_to_bits(g)!r}, "
-                    f"xi {word_to_bits(x)!r}")
+    inner = [(w, word_value(w, params))
+             for w in enumerate_spectrum(params, max(0, max_digits - 1))]
+    odd_range = [(w, word_value(w, params))
+                 for w in enumerate_spectrum(params, max_digits) if w and w[0] == 1]
+    for g, gv in inner:
+        scaled, shifted = p * gv, base * p * gv
+        for x, xv in inner:
+            _check_pair(report, params, shifted - base * xv, scaled - xv,
+                        "coefficient mismatch", ("gamma", g, "xi", x))
         # coefficients at odd-range words must vanish for the sides to agree
-        for eta in enumerate_spectrum(params, max_digits):
-            if not eta or eta[0] != 1:
-                continue
-            report.checked += 1
-            if not in_zero_set(base * p * gv - word_value(eta, params), params):
-                report.add(
-                    f"leaked coefficient at gamma {word_to_bits(g)!r}, "
-                    f"eta {word_to_bits(eta)!r}")
+        for eta, ev in odd_range:
+            _check_pair(report, params, shifted - ev, None,
+                        "leaked coefficient", ("gamma", g, "eta", eta))
     return report
-
-
-def _negated(pair: tuple[int, QuarterInt]) -> tuple[int, QuarterInt]:
-    sign, reduced = pair
-    return -sign, reduced
 
 
 def verify_odd_twisted_relations(
@@ -311,35 +314,21 @@ def verify_odd_twisted_relations(
         f"digits<={max_digits})")
     p = params.require_p()
     base, half = params.base, params.half_n
-    words = enumerate_spectrum(params, max_digits)
-    for g in words:
-        gv = word_value(g, params)
+    words = [(w, word_value(w, params)) for w in enumerate_spectrum(params, max_digits)]
+    for g, gv in words:
         keeps_sign_on_even = (not g) or g[0] == 0
-        for x in words:
-            xv = word_value(x, params)
-            report.checked += 2
-            arg_even = p * gv - base * xv
-            arg_even_shift = base * p * gv - base * (base * xv)
-            arg_mixed = p * gv - half - base * xv
-            arg_mixed_shift = base * p * gv - base * (half + base * xv)
-            even_pair = reduce_argument(arg_even, params)
-            even_shift_pair = reduce_argument(arg_even_shift, params)
-            mixed_pair = reduce_argument(arg_mixed, params)
-            mixed_shift_pair = reduce_argument(arg_mixed_shift, params)
-            if keeps_sign_on_even:
-                even_ok = even_shift_pair == even_pair
-                mixed_ok = mixed_shift_pair == _negated(mixed_pair)
-            else:
-                even_ok = even_shift_pair == _negated(even_pair)
-                mixed_ok = mixed_shift_pair == mixed_pair
-            if not even_ok:
-                report.add(
-                    f"even-range sign relation fails at gamma "
-                    f"{word_to_bits(g)!r}, xi {word_to_bits(x)!r}")
-            if not mixed_ok:
-                report.add(
-                    f"mixed-range sign relation fails at gamma "
-                    f"{word_to_bits(g)!r}, xi {word_to_bits(x)!r}")
+        scaled, shifted = p * gv, base * p * gv
+        for x, xv in words:
+            where = ("gamma", g, "xi", x)
+            even = base * xv
+            _check_pair(report, params,
+                        shifted - base * even, scaled - even,
+                        "even-range sign relation fails", where,
+                        flip=not keeps_sign_on_even)
+            _check_pair(report, params,
+                        shifted - base * (half + even), scaled - half - even,
+                        "mixed-range sign relation fails", where,
+                        flip=keeps_sign_on_even)
     return report
 
 
@@ -358,32 +347,25 @@ def verify_multiplication_identity(
     if max_digits < 1:
         raise ValueError("max_digits must be >= 1")
     one = QuarterInt.from_int(1)
-    inner = enumerate_spectrum(params, max_digits - 1)
-    for g in inner:
-        gv = word_value(g, params)
+    inner = [(w, word_value(w, params))
+             for w in enumerate_spectrum(params, max_digits - 1)]
+    for g, gv in inner:
         col = (1,) + g
-        for x in inner:
-            xv = word_value(x, params)
+        shifted = one + 5 * gv
+        for x, xv in inner:
             row = (1,) + x
-            report.checked += 1
+            where = ("row", row, "col", col)
             entry_arg = scale_minus(row, col, params)
-            identity_arg = one + 5 * gv - xv
-            if reduce_argument(entry_arg, params) != \
-                    reduce_argument(identity_arg, params):
-                report.add(
-                    f"reductions differ at row {word_to_bits(row)!r}, "
-                    f"col {word_to_bits(col)!r}")
+            identity_arg = shifted - xv
+            if not _check_pair(report, params, entry_arg, identity_arg,
+                               "reductions differ", where):
                 continue
             lhs = mu_hat(entry_arg, params)
             rhs = mu_hat(identity_arg, params)
             if lhs.exact_zero != rhs.exact_zero:
-                report.add(
-                    f"zero flags differ at row {word_to_bits(row)!r}, "
-                    f"col {word_to_bits(col)!r}")
+                report.add(f"zero flags differ at {_at(where)}")
             elif abs(lhs.value - rhs.value) > tol:
-                report.add(
-                    f"values differ beyond {tol} at row "
-                    f"{word_to_bits(row)!r}, col {word_to_bits(col)!r}")
+                report.add(f"values differ beyond {tol} at {_at(where)}")
     return report
 
 
@@ -501,3 +483,22 @@ def analyze_w0_sparsity(
                 row_class, col_class, expected_zero, len(rows), len(cols),
                 nonzero, witness, exact_one))
     return SparsityReport(max_digits, tilde_max, blocks, check)
+
+
+def verify_w0_sparsity(max_digits: int, tilde_max: int | None = None,
+                       require_witnesses: bool = False) -> CheckReport:
+    """The census's check of analyze_w0_sparsity, as a verification suite.
+
+    With require_witnesses every star block also counts one check and
+    fails unless the truncation holds a nonzero witness for it.
+    """
+    result = analyze_w0_sparsity(max_digits, tilde_max)
+    report = result.check
+    if require_witnesses:
+        for block in result.star_blocks():
+            report.checked += 1
+            if block.witness is None:
+                report.add(
+                    f"star block ({block.row_class}, {block.col_class}) has "
+                    f"no nonzero witness at this truncation depth")
+    return report

@@ -20,15 +20,12 @@ from typing import NamedTuple
 from bernspec.exact import (
     BernoulliParams,
     QuarterInt,
-    _terms_for,
-    in_zero_set,
     mu_hat,
-    mu_hat_product,
 )
 from bernspec.report import CheckReport
 from bernspec.spectrum import (
     Word,
-    _check_word,
+    check_word,
     enumerate_spectrum,
     scale_value,
     word_to_bits,
@@ -44,19 +41,19 @@ _EPS = sys.float_info.epsilon
 
 def prepend_zero(word: Word) -> Word:
     """Isometry gamma -> 2n * gamma; fixes the zero word."""
-    _check_word(word)
+    check_word(word)
     return (0,) + word if word else ()
 
 
 def prepend_one(word: Word) -> Word:
     """Isometry gamma -> 2n * gamma + n/2."""
-    _check_word(word)
+    check_word(word)
     return (1,) + word
 
 
 def strip_zero(word: Word) -> Word | None:
     """Adjoint of prepend_zero: remove a leading 0 bit, else annihilate."""
-    _check_word(word)
+    check_word(word)
     if not word:
         return ()
     return word[1:] if word[0] == 0 else None
@@ -64,7 +61,7 @@ def strip_zero(word: Word) -> Word | None:
 
 def strip_one(word: Word) -> Word | None:
     """Adjoint of prepend_one: remove a leading 1 bit, else annihilate."""
-    _check_word(word)
+    check_word(word)
     if word and word[0] == 1:
         return word[1:]
     return None
@@ -166,18 +163,15 @@ def _coefficient(t: QuarterInt | float, point: QuarterInt,
     # transform at t - point; None encodes an exact zero
     if isinstance(t, QuarterInt):
         result = mu_hat(t - point, params, tol)
-        if result.exact_zero:
-            return None
-        return result.value, result.error_bound
-    diff = t - float(point)
-    terms = _terms_for(diff if diff != 0.0 else 1.0, params.base, tol)
-    result = mu_hat_product(diff, params, terms)
+        slack = 0.0
+    else:
+        result = mu_hat(t - float(point), params, tol)
+        # the float subtraction perturbs the argument by <= eps/2 * (|t|+|point|);
+        # the transform has derivative bounded by 2 pi / (2n - 1)
+        slack = (2.0 * math.pi / (params.base - 1)) \
+            * 0.5 * _EPS * (abs(t) + abs(float(point)))
     if result.exact_zero:
         return None
-    # the float subtraction perturbs the argument by <= eps/2 * (|t|+|point|);
-    # the transform has derivative bounded by 2 pi / (2n - 1)
-    slack = (2.0 * math.pi / (params.base - 1)) \
-        * 0.5 * _EPS * (abs(t) + abs(float(point)))
     return result.value, result.error_bound + slack
 
 

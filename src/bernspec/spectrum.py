@@ -26,14 +26,15 @@ def is_canonical_word(word: Word) -> bool:
     return not word or word[-1] == 1
 
 
-def _check_word(word: Word) -> None:
+def check_word(word: Word) -> None:
+    """Raise ValueError unless the word is canonical."""
     if not is_canonical_word(word):
         raise ValueError(f"not a canonical digit word: {word!r}")
 
 
 def word_value(word: Word, params: BernoulliParams) -> QuarterInt:
     """The spectrum point of a digit word: sum_i b_i (n/2) (2n)^i."""
-    _check_word(word)
+    check_word(word)
     base = params.base
     numer = 0
     power = base  # 4 * (n/2) * (2n)^i = (2n)^(i+1)
@@ -63,7 +64,7 @@ def word_from_value(t: QuarterInt, params: BernoulliParams) -> Word | None:
 
 def word_to_bits(word: Word) -> str:
     """Serialize low digit first; the zero word is the empty string."""
-    _check_word(word)
+    check_word(word)
     return "".join(str(bit) for bit in word)
 
 
@@ -72,7 +73,7 @@ def parse_word(text: str) -> Word:
     if any(ch not in "01" for ch in body):
         raise ValueError(f"digit words use characters 0/1 only: {text!r}")
     word = tuple(int(ch) for ch in body)
-    _check_word(word)
+    check_word(word)
     return word
 
 
@@ -110,7 +111,7 @@ def stratum_index(word: Word) -> int | None:
     Stratum k collects the points (2n)^k * (n/2 + 2n * gamma) over spectrum
     points gamma, which is exactly the words starting with k zero bits.
     """
-    _check_word(word)
+    check_word(word)
     if not word:
         return None
     return word.index(1)
@@ -124,7 +125,7 @@ def tilde_stratum_index(word: Word, params: BernoulliParams) -> int | str:
     is defined and every word maps to TILDE_OTHER.  Words outside stratum 0
     are rejected.
     """
-    _check_word(word)
+    check_word(word)
     if not word or word[0] != 1:
         raise ValueError(f"word is not in stratum 0: {word!r}")
     if params.n != 2:

@@ -56,6 +56,15 @@ class TestMuhat:
     def test_bad_params_exit_code(self, capsys):
         assert main(["muhat", "--n", "0", "--t", "1"]) == 2
 
+    def test_huge_decimal_sizes_its_product(self, capsys):
+        assert main(["muhat", "--n", "2", "--t", "3.3e38", "--json"]) == 0
+        obj = json.loads(capsys.readouterr().out)
+        assert obj["magnitude"] > 1e3 * obj["error_bound"]
+
+    def test_zero_terms_rejected(self, capsys):
+        assert main(["muhat", "--n", "2", "--t", "0.3", "--terms", "0"]) == 2
+        assert "terms must be >= 1" in capsys.readouterr().err
+
 
 class TestSpectrum:
     def test_stdout_listing(self, capsys):
@@ -121,6 +130,37 @@ class TestVerify:
     def test_suites_pass(self, argv, capsys):
         assert main(argv) == 0
         assert "PASS" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "multiplication", "--n", "3"],
+        ["verify", "all", "--max-digits", "2"],
+        ["verify", "cuntz", "--k-max", "9"],
+    ])
+    def test_flag_the_suite_does_not_take_rejected(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"--{argv[2][2:]}" in captured.err
+        assert "does not take" in captured.err
+
+    def test_all_runs_the_pinned_battery(self, capsys):
+        assert main(["verify", "all"]) == 0
+        suites = [line.split(": ")[0]
+                  for line in capsys.readouterr().out.splitlines()]
+        assert suites == [
+            "cuntz(n=2, digits<=8)",
+            "cuntz(n=3, digits<=8)",
+            "cuntz(n=4, digits<=8)",
+            "block-diagonal(n=2, p=5, digits<=6)",
+            "block-diagonal(n=4, p=3, digits<=6)",
+            "block-equality(n=2, p=5, digits<=6, k<=3)",
+            "commute-even(n=2, p=5, digits<=5)",
+            "commute-even(n=4, p=3, digits<=5)",
+            "commute-odd(n=3, p=3, digits<=4)",
+            "commute-odd(n=3, p=5, digits<=4)",
+            "multiplication(n=2, p=5, digits<=6)",
+            "w0-sparsity(digits<=7, classes<=4)",
+        ]
 
     def test_unknown_suite_rejected(self, capsys):
         with pytest.raises(SystemExit):

@@ -92,6 +92,13 @@ class TestParams:
         with pytest.raises(ValueError):
             BernoulliParams(2, 1)
 
+    def test_rejects_bool(self):
+        # bool is an int subclass; True must not pass as n = 1 or p = 1
+        with pytest.raises(ValueError):
+            BernoulliParams(True)
+        with pytest.raises(ValueError):
+            BernoulliParams(2, True)
+
     def test_require_p(self):
         assert BernoulliParams(2, 5).require_p() == 5
         with pytest.raises(ValueError):
@@ -312,6 +319,21 @@ class TestMuHat:
     def test_rejects_bad_tol(self):
         with pytest.raises(ValueError):
             mu_hat(QuarterInt(1), N2, tol=0.0)
+
+    def test_float_argument_sizes_its_product(self):
+        # a fixed 64-term product leaves a bound above the value here
+        res = mu_hat(3.3e38, N2)
+        deep = mu_hat_product(3.3e38, N2, 200)
+        assert res.error_bound <= 1e-12
+        assert res.magnitude > 1e3 * res.error_bound
+        assert abs(res.value - deep.value) <= res.error_bound + deep.error_bound
+        assert mu_hat(0.3, N2).value == pytest.approx(
+            mu_hat_product(0.3, N2, 48).value, abs=1e-12)
+
+    def test_float_argument_must_be_finite(self):
+        for x in (float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="finite"):
+                mu_hat(x, N2)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from bernspec.matrixlab import (
     verify_commutation_even,
     verify_multiplication_identity,
     verify_odd_twisted_relations,
+    verify_w0_sparsity,
 )
 from bernspec.spectrum import TILDE_ONE_POINT, enumerate_spectrum, word_value
 
@@ -303,6 +304,17 @@ class TestSparsity:
 
         deep = analyze_w0_sparsity(7, tilde_max=4)
         assert deep.all_star_blocks_witnessed
+
+    def test_witness_requirement_counts_star_blocks(self):
+        census = analyze_w0_sparsity(6)
+        assert verify_w0_sparsity(6).checked == census.check.checked
+        strict = verify_w0_sparsity(6, require_witnesses=True)
+        assert strict.checked == \
+            census.check.checked + len(census.star_blocks())
+        assert strict.violations == [
+            "star block (0, 4) has no nonzero witness at this truncation "
+            "depth"]
+        assert verify_w0_sparsity(7, 4, require_witnesses=True).passed
 
     def test_tilde_max_drops_classes(self):
         report = analyze_w0_sparsity(6, tilde_max=2)
