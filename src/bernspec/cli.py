@@ -35,7 +35,7 @@ from bernspec.matrixlab import (
     verify_odd_twisted_relations,
     verify_w0_sparsity,
 )
-from bernspec.operators import parseval_partial, verify_cuntz_relations
+from bernspec.operators import parseval_table, verify_cuntz_relations
 from bernspec.report import CheckReport
 from bernspec.spectrum import (
     enumerate_spectrum,
@@ -221,18 +221,16 @@ def cmd_parseval(args: argparse.Namespace) -> int:
     params = BernoulliParams(args.n, args.p)
     basis = "spectrum" if args.base == "gamma" else "scaled"
     t = parse_frequency(args.t)
-    rows = [("digits", "partial_sum", "error_bound")]
-    for digits in range(args.max_digits + 1):
-        partial = parseval_partial(t, params, digits, basis, args.tol)
-        rows.append((str(digits), repr(partial.value), repr(partial.error_bound)))
+    table = parseval_table(t, params, args.max_digits, basis, args.tol)
     if args.json:
         print(json.dumps([
-            {"digits": int(d), "partial_sum": float(v), "error_bound": float(e)}
-            for d, v, e in rows[1:]
+            {"digits": d, "partial_sum": row.value, "error_bound": row.error_bound}
+            for d, row in enumerate(table)
         ]))
     else:
-        for row in rows:
-            print(" ".join(row))
+        print("digits partial_sum error_bound")
+        for d, row in enumerate(table):
+            print(f"{d} {row.value!r} {row.error_bound!r}")
     return 0
 
 

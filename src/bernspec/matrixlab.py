@@ -70,45 +70,42 @@ class TruncatedMatrix:
         tol: float = 1e-12,
         order: str = "strata",
     ) -> TruncatedMatrix:
-        params.require_p()
+        p = params.require_p()
         words = enumerate_spectrum(params, max_digits, order=order)
-        entries = [
-            [u_entry(row, col, params, tol).value for col in words]
-            for row in words
-        ]
+        values = [word_value(w, params) for w in words]
+        scaled = [p * value for value in values]
+        entries = [[mu_hat(col - row, params, tol) for col in scaled]
+                   for row in values]
         return cls(params, max_digits, order, words, entries)
 
     def zero_mask(self) -> list[list[bool]]:
         return [[e.exact_zero for e in row] for row in self.entries]
 
+    def _stratum_keys(self) -> list[str]:
+        return ["zero-point" if not w else str(stratum_index(w)) for w in self.words]
+
     # -- serialization ----------------------------------------------------
 
     def to_csv_text(self) -> str:
         lines = ["row_word,col_word,exact_zero,sign,magnitude,error_bound"]
-        for i, row in enumerate(self.words):
-            for j, col in enumerate(self.words):
-                e = self.entries[i][j]
+        bits = [word_to_bits(w) for w in self.words]
+        for row, entries in zip(bits, self.entries):
+            for col, e in zip(bits, entries):
                 sign = 0 if e.exact_zero else e.sign
                 lines.append(
-                    f"{word_to_bits(row)},{word_to_bits(col)},"
-                    f"{int(e.exact_zero)},{sign},{e.magnitude!r},{e.error_bound!r}"
+                    f"{row},{col},{int(e.exact_zero)},{sign},{e.magnitude!r},{e.error_bound!r}"
                 )
         return "\n".join(lines) + "\n"
 
     def to_json_obj(self) -> dict:
-        strata: dict[str, int] = {}
-        for w in self.words:
-            key = "zero-point" if stratum_index(w) is None else str(stratum_index(w))
-            strata[key] = strata.get(key, 0) + 1
+        keys = self._stratum_keys()
+        strata = {key: keys.count(key) for key in dict.fromkeys(keys)}
         blocks: dict[tuple[str, str], list[int]] = {}
-        for i, row in enumerate(self.words):
-            rk = "zero-point" if stratum_index(row) is None else str(stratum_index(row))
-            for j, col in enumerate(self.words):
-                ck = "zero-point" if stratum_index(col) is None else str(stratum_index(col))
+        for rk, entries in zip(keys, self.entries):
+            for ck, e in zip(keys, entries):
                 total_nonzero = blocks.setdefault((rk, ck), [0, 0])
                 total_nonzero[0] += 1
-                if not self.entries[i][j].exact_zero:
-                    total_nonzero[1] += 1
+                total_nonzero[1] += not e.exact_zero
         return {
             "n": self.params.n,
             "p": self.params.p,
@@ -152,10 +149,8 @@ class TruncatedMatrix:
                         f'height="{cell}" fill="#1f3b73"/>'
                     )
         # stratum separators, visible when the words are in strata order
-        boundaries = [
-            k for k in range(1, len(self.words))
-            if stratum_index(self.words[k]) != stratum_index(self.words[k - 1])
-        ]
+        keys = self._stratum_keys()
+        boundaries = [k for k in range(1, len(keys)) if keys[k] != keys[k - 1]]
         for b in boundaries:
             pos = b * cell
             parts.append(
@@ -347,15 +342,13 @@ def verify_multiplication_identity(
     if max_digits < 1:
         raise ValueError("max_digits must be >= 1")
     one = QuarterInt.from_int(1)
-    inner = [(w, word_value(w, params))
+    words = [((1,) + w, word_value(w, params), word_value((1,) + w, params))
              for w in enumerate_spectrum(params, max_digits - 1)]
-    for g, gv in inner:
-        col = (1,) + g
-        shifted = one + 5 * gv
-        for x, xv in inner:
-            row = (1,) + x
+    for col, gv, col_value in words:
+        shifted, scaled = one + 5 * gv, 5 * col_value
+        for row, xv, row_value in words:
             where = ("row", row, "col", col)
-            entry_arg = scale_minus(row, col, params)
+            entry_arg = scaled - row_value
             identity_arg = shifted - xv
             if not _check_pair(report, params, entry_arg, identity_arg,
                                "reductions differ", where):
@@ -444,14 +437,14 @@ def analyze_w0_sparsity(
         f"w0-sparsity(digits<={max_digits}"
         + (f", classes<={tilde_max}" if tilde_max is not None else "")
         + ")")
-    classes: dict[int | str, list[Word]] = {}
+    classes: dict[int | str, list[tuple[Word, QuarterInt]]] = {}
     for w in enumerate_spectrum(params, max_digits):
         if not w or w[0] != 1:
             continue
         label = tilde_stratum_index(w, params)
         if tilde_max is not None and isinstance(label, int) and label > tilde_max:
             continue
-        classes.setdefault(label, []).append(w)
+        classes.setdefault(label, []).append((w, word_value(w, params)))
     ordered = sorted(classes, key=lambda c: -1 if c == TILDE_ONE_POINT else c)
     blocks = []
     for row_class in ordered:
@@ -462,10 +455,11 @@ def analyze_w0_sparsity(
             nonzero = 0
             witness = None
             exact_one = None
-            for col in cols:
-                for row in rows:
+            for col, col_value in cols:
+                scaled = 5 * col_value
+                for row, row_value in rows:
                     check.checked += 1
-                    argument = scale_minus(row, col, params)
+                    argument = scaled - row_value
                     if in_zero_set(argument, params):
                         continue
                     nonzero += 1

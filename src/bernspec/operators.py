@@ -221,6 +221,38 @@ class ParsevalSum(NamedTuple):
     error_bound: float
 
 
+def parseval_table(
+    t: QuarterInt | float,
+    params: BernoulliParams,
+    max_digits: int,
+    basis: str = "spectrum",
+    tol: float = 1e-12,
+) -> list[ParsevalSum]:
+    """Partial Parseval sums of |<exp(t), exp(b)>|^2 at depths 0..max_digits.
+
+    basis "spectrum" sums over the spectrum points, "scaled" over p times
+    them.  For a complete orthonormal family the full sum is 1, so the
+    partial sums increase toward 1 as the depth grows.  Row d is the running
+    sum of one walk after its first 2^d words, which are depth d's words.
+    """
+    if basis not in ("spectrum", "scaled"):
+        raise ValueError(f"unknown basis {basis!r}")
+    scale = params.require_p() if basis == "scaled" else 1
+    rows = []
+    total = 0.0
+    err = 0.0
+    for index, w in enumerate(enumerate_spectrum(params, max_digits)):
+        entry = _coefficient(t, scale * word_value(w, params), params, tol)
+        if entry is not None:
+            coeff, coeff_err = entry
+            total += coeff * coeff
+            err += 2.0 * abs(coeff) * coeff_err + coeff_err * coeff_err
+            err += _EPS * abs(total)  # summation rounding
+        if index & (index + 1) == 0:  # the first 2^d words are done
+            rows.append(ParsevalSum(total, err))
+    return rows
+
+
 def parseval_partial(
     t: QuarterInt | float,
     params: BernoulliParams,
@@ -228,25 +260,5 @@ def parseval_partial(
     basis: str = "spectrum",
     tol: float = 1e-12,
 ) -> ParsevalSum:
-    """Partial Parseval sum of |<exp(t), exp(b)>|^2 over a truncated basis.
-
-    basis "spectrum" sums over the spectrum points, "scaled" over p times
-    them.  For a complete orthonormal family the full sum is 1, so the
-    partial sums increase toward 1 as max_digits grows.
-    """
-    if basis not in ("spectrum", "scaled"):
-        raise ValueError(f"unknown basis {basis!r}")
-    total = 0.0
-    err = 0.0
-    for w in enumerate_spectrum(params, max_digits):
-        point = word_value(w, params)
-        if basis == "scaled":
-            point = params.require_p() * point
-        entry = _coefficient(t, point, params, tol)
-        if entry is None:
-            continue
-        coeff, coeff_err = entry
-        total += coeff * coeff
-        err += 2.0 * abs(coeff) * coeff_err + coeff_err * coeff_err
-        err += _EPS * abs(total)  # summation rounding
-    return ParsevalSum(total, err)
+    """The last row of parseval_table: the partial sum at depth max_digits."""
+    return parseval_table(t, params, max_digits, basis, tol)[-1]

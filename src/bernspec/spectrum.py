@@ -82,27 +82,21 @@ def enumerate_spectrum(
 ) -> list[Word]:
     """All spectrum words of length <= max_digits, in a deterministic order.
 
-    order "value" sorts by the spectrum point; order "strata" puts the zero
-    word first, then each stratum in increasing index, value-sorted inside.
+    Word m holds the binary digits of m, and with 0/1 digits the top
+    differing digit decides, so counting order is value order in every base
+    2n: depth d is the first 2^d words of any deeper truncation.  Order
+    "value" is that order; order "strata" puts the zero word first, then
+    each stratum in increasing index, value-sorted inside.
     """
     if max_digits < 0:
         raise ValueError("max_digits must be >= 0")
-    words: list[Word] = [()]
-    for length in range(1, max_digits + 1):
-        # all words of exact length: free bits below a forced top 1
-        for mask in range(1 << (length - 1)):
-            bits = tuple((mask >> i) & 1 for i in range(length - 1)) + (1,)
-            words.append(bits)
-    if order == "value":
-        words.sort(key=lambda w: word_value(w, params).numerator)
-    elif order == "strata":
-        words.sort(key=lambda w: (
-            -1 if not w else stratum_index(w),
-            word_value(w, params).numerator,
-        ))
-    else:
+    if order not in ("value", "strata"):
         raise ValueError(f"unknown order {order!r}")
-    return words
+    indices = list(range(1 << max_digits))
+    if order == "strata":
+        # a stable sort on the trailing-zero count, which is -1 for m = 0
+        indices.sort(key=lambda m: (m & -m).bit_length() - 1)
+    return [tuple((m >> i) & 1 for i in range(m.bit_length())) for m in indices]
 
 
 def stratum_index(word: Word) -> int | None:

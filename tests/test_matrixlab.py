@@ -58,6 +58,14 @@ class TestTruncatedMatrix:
         assert len(m.entries) == 8
         assert all(len(row) == 8 for row in m.entries)
 
+    @pytest.mark.parametrize("params", [N2P5, BernoulliParams(3, 5)])
+    @pytest.mark.parametrize("order", ["strata", "value"])
+    def test_entries_equal_u_entry(self, params, order):
+        m = TruncatedMatrix.build(params, 4, order=order)
+        for row, entries in zip(m.words, m.entries):
+            for col, entry in zip(m.words, entries):
+                assert entry == u_entry(row, col, params).value
+
     def test_strata_order_blocks_in_mask(self):
         from bernspec.spectrum import stratum_index
 

@@ -11,6 +11,7 @@ from bernspec.operators import (
     expand_exponential,
     operator_column,
     parseval_partial,
+    parseval_table,
     prepend_one,
     prepend_zero,
     strip_one,
@@ -161,6 +162,14 @@ class TestParseval:
     def test_rejects_unknown_basis(self):
         with pytest.raises(ValueError):
             parseval_partial(0.1, N2, 3, basis="fourier")
+
+    @pytest.mark.parametrize("t", [QuarterInt(-39), QuarterInt(17), 0.3, -41.7])
+    @pytest.mark.parametrize("basis", ["spectrum", "scaled"])
+    def test_table_rows_equal_partial_sums(self, t, basis):
+        table = parseval_table(t, P25, 8, basis)
+        assert len(table) == 9
+        for d, row in enumerate(table):
+            assert row == parseval_partial(t, P25, d, basis)
 
     def test_exact_argument_path(self):
         # quarter-integer arguments route through certified evaluation

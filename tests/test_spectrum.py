@@ -114,6 +114,22 @@ class TestEnumerate:
         for d in range(0, 9):
             assert len(enumerate_spectrum(N3, d)) == 2 ** d
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_value_order_is_counting_order_and_a_prefix(self, n):
+        params = BernoulliParams(n)
+        deeper = enumerate_spectrum(params, 0)
+        for d in range(0, 8):
+            words, deeper = deeper, enumerate_spectrum(params, d + 1)
+            assert words == sorted(words, key=lambda w: word_value(w, params))
+            assert deeper[:len(words)] == words
+
+    @pytest.mark.parametrize("params", [N2, N3, N4])
+    def test_strata_order_sorts_by_stratum_then_value(self, params):
+        for d in range(0, 8):
+            expected = sorted(enumerate_spectrum(params, d), key=lambda w: (
+                -1 if not w else stratum_index(w), word_value(w, params)))
+            assert enumerate_spectrum(params, d, order="strata") == expected
+
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
             enumerate_spectrum(N2, -1)
