@@ -143,7 +143,8 @@ class Suite:
     as one BernoulliParams; p None means 5 when n = 2 and 3 otherwise.
     battery lists the `verify all` runs as overrides of defaults.  The
     verifier is held by name and looked up in this module when the suite
-    runs, so a replaced module attribute takes effect.
+    runs, so a replaced module attribute takes effect.  A run that makes
+    no check is an error, not a pass.
     """
 
     name: str
@@ -158,7 +159,12 @@ class Suite:
             if p is None and "p" in self.defaults:
                 p = 5 if n == 2 else 3
             kwargs["params"] = BernoulliParams(n, p)
-        return globals()[self.verifier](**kwargs)
+        report = globals()[self.verifier](**kwargs)
+        if report.checked == 0:
+            raise ValueError(
+                f"verify {self.name} made 0 checks: --max-digits "
+                f"{kwargs['max_digits']} is too small to test anything")
+        return report
 
 
 VERIFY_SUITES = {suite.name: suite for suite in (

@@ -259,15 +259,18 @@ def _ratio_factors(numer: int, base: int, terms: int) -> Iterator[tuple[float, f
 def _float_factors(x: float, base: int, terms: int) -> Iterator[tuple[float, float]]:
     # Generic real argument: divide down by the base, tracking an absolute
     # error bound on the argument (division is exact when 2n is a power of
-    # two, else costs half an ulp per step).
+    # two, else costs half an ulp per step).  The first step takes 2x/(2n)
+    # as x/n, one rounding of the same real, so 2x cannot overflow.
     exact_division = base & (base - 1) == 0
-    y = 2.0 * x
+    y = x
     y_err = 0.0
+    divisor = base // 2
     for _ in range(terms):
-        y = y / base
-        y_err = y_err / base
+        y = y / divisor
+        y_err = y_err / divisor
         if not exact_division:
             y_err += 0.5 * _EPS * abs(y)
+        divisor = base
         value, on_grid = _cospi(y)
         if on_grid and y_err == 0.0:
             yield value, 0.0

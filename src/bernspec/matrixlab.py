@@ -11,6 +11,7 @@ certified numerics.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -341,6 +342,8 @@ def verify_multiplication_identity(
     report = CheckReport(f"multiplication(n=2, p=5, digits<={max_digits})")
     if max_digits < 1:
         raise ValueError("max_digits must be >= 1")
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
     one = QuarterInt.from_int(1)
     words = [((1,) + w, word_value(w, params), word_value((1,) + w, params))
              for w in enumerate_spectrum(params, max_digits - 1)]
@@ -432,6 +435,8 @@ def analyze_w0_sparsity(
     exactly-1 entry (argument 0) for the rest.  tilde_max limits the gap
     classes analyzed; the one-point class is always kept.
     """
+    if tilde_max is not None and tilde_max < 0:
+        raise ValueError(f"tilde_max must be >= 0, got {tilde_max!r}")
     params = BernoulliParams(2, 5)
     check = CheckReport(
         f"w0-sparsity(digits<={max_digits}"

@@ -61,6 +61,11 @@ class TestMuhat:
         obj = json.loads(capsys.readouterr().out)
         assert obj["magnitude"] > 1e3 * obj["error_bound"]
 
+    def test_largest_decimals_do_not_overflow(self, capsys):
+        assert main(["muhat", "--n", "2", "--t", "1e308"]) == 0
+        assert main(["muhat", "--n", "3", "--t=-1.7e308"]) == 0
+        assert "exact_zero=" in capsys.readouterr().out
+
     def test_zero_terms_rejected(self, capsys):
         assert main(["muhat", "--n", "2", "--t", "0.3", "--terms", "0"]) == 2
         assert "terms must be >= 1" in capsys.readouterr().err
@@ -142,6 +147,28 @@ class TestVerify:
         assert captured.out == ""
         assert f"--{argv[2][2:]}" in captured.err
         assert "does not take" in captured.err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["verify", "multiplication", "--tol", "-1"], "tol must be finite and >= 0"),
+        (["verify", "multiplication", "--tol", "nan"], "tol must be finite and >= 0"),
+        (["verify", "w0-sparsity", "--tilde-max", "-3"], "tilde_max must be >= 0"),
+    ])
+    def test_bad_tolerance_or_class_limit_rejected(self, argv, message, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "block-diagonal", "--max-digits", "0"],
+        ["verify", "block-equality", "--max-digits", "1"],
+    ])
+    def test_run_with_no_checks_rejected(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert (f"verify {argv[1]} made 0 checks: --max-digits {argv[3]} "
+                "is too small") in captured.err
 
     def test_all_runs_the_pinned_battery(self, capsys):
         assert main(["verify", "all"]) == 0

@@ -330,6 +330,16 @@ class TestMuHat:
         assert mu_hat(0.3, N2).value == pytest.approx(
             mu_hat_product(0.3, N2, 48).value, abs=1e-12)
 
+    @pytest.mark.parametrize("x", [9e307, 1.5e308, 1.7e308, -1.7e308])
+    @pytest.mark.parametrize("params", [N2, N3, BernoulliParams(4)])
+    def test_huge_float_agrees_with_quarter_path(self, x, params):
+        # 2x overflows here; a float this large is an integer, so the
+        # quarter-integer path evaluates the same point exactly
+        res = mu_hat(x, params)
+        exact = mu_hat(QuarterInt(4 * int(x)), params)
+        assert res.exact_zero == exact.exact_zero
+        assert abs(res.value - exact.value) <= res.error_bound + exact.error_bound
+
     def test_float_argument_must_be_finite(self):
         for x in (float("inf"), float("nan")):
             with pytest.raises(ValueError, match="finite"):

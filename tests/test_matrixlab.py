@@ -250,6 +250,12 @@ class TestMultiplicationIdentity:
         assert report.passed
         assert report.checked == 1
 
+    @pytest.mark.parametrize("tol", [-1.0, math.nan, math.inf])
+    def test_rejects_bad_tol(self, tol):
+        with pytest.raises(ValueError, match="tol must be finite"):
+            verify_multiplication_identity(3, tol)
+        assert verify_multiplication_identity(3, 0.0).passed
+
     def test_rejects_empty_truncation(self):
         with pytest.raises(ValueError):
             verify_multiplication_identity(0)
@@ -323,6 +329,11 @@ class TestSparsity:
             "star block (0, 4) has no nonzero witness at this truncation "
             "depth"]
         assert verify_w0_sparsity(7, 4, require_witnesses=True).passed
+
+    def test_rejects_negative_tilde_max(self):
+        with pytest.raises(ValueError, match="tilde_max must be >= 0"):
+            analyze_w0_sparsity(6, tilde_max=-3)
+        assert analyze_w0_sparsity(6, tilde_max=0).passed
 
     def test_tilde_max_drops_classes(self):
         report = analyze_w0_sparsity(6, tilde_max=2)

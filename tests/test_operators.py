@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bernspec.exact import BernoulliParams, QuarterInt, in_zero_set
+from bernspec.exact import BernoulliParams, QuarterInt, in_zero_set, mu_hat
 from bernspec.operators import (
     expand_exponential,
     operator_column,
@@ -167,9 +169,14 @@ class TestParseval:
     @pytest.mark.parametrize("basis", ["spectrum", "scaled"])
     def test_table_rows_equal_partial_sums(self, t, basis):
         table = parseval_table(t, P25, 8, basis)
+        scale = 5 if basis == "scaled" else 1
+        points = [scale * word_value(w, P25) for w in enumerate_spectrum(P25, 8)]
+        squares = [mu_hat(t - (p if isinstance(t, QuarterInt) else float(p)),
+                          P25).value ** 2 for p in points]
         assert len(table) == 9
         for d, row in enumerate(table):
             assert row == parseval_partial(t, P25, d, basis)
+            assert abs(row.value - math.fsum(squares[:2 ** d])) <= row.error_bound
 
     def test_exact_argument_path(self):
         # quarter-integer arguments route through certified evaluation
