@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from bernspec import operators
 from bernspec.exact import BernoulliParams, QuarterInt, in_zero_set, mu_hat
 from bernspec.operators import (
     expand_exponential,
@@ -73,7 +74,22 @@ class TestIsometries:
         for n in (2, 3, 4):
             report = verify_cuntz_relations(BernoulliParams(n), 6)
             assert report.passed, report.lines()
-            assert report.checked > 0
+            assert report.checked == 7 * 2**6  # seven checks per word
+
+    @pytest.mark.parametrize("name,broken", [
+        # a strip that returns a wrong word: drops two digits
+        ("strip_one", lambda w: w[2:] if w and w[0] == 1 else None),
+        # a strip that fails to annihilate words starting with 1
+        ("strip_zero", lambda w: w[1:]),
+        # a prepend that returns a wrong word: two zero digits
+        ("prepend_zero", lambda w: (0, 0) + w if w else ()),
+        # a prepend whose value has one extra top digit
+        ("prepend_one", lambda w: (1,) + w + (1,)),
+    ])
+    def test_verify_cuntz_rejects_broken_isometry(self, monkeypatch, name, broken):
+        monkeypatch.setattr(operators, name, broken)
+        for n in (2, 3, 4):
+            assert not verify_cuntz_relations(BernoulliParams(n), 4).passed
 
 
 class TestOperatorColumn:
