@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from bernspec.exact import (
+    DEFAULT_TOL,
     BernoulliParams,
     QuarterInt,
     chaos_game_estimate,
@@ -281,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_muhat.add_argument("--p", type=int, default=None)
     p_muhat.add_argument("--t", required=True,
                          help="frequency: integer, a/2, a/4, or decimal")
-    p_muhat.add_argument("--tol", type=float, default=1e-12)
+    p_muhat.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p_muhat.add_argument("--terms", type=int, default=None,
                          help="force a fixed product length")
     p_muhat.add_argument("--json", action="store_true")
@@ -303,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_matrix.add_argument("--n", type=int, default=2)
     p_matrix.add_argument("--p", type=int, required=True)
     p_matrix.add_argument("--max-digits", type=int, required=True)
-    p_matrix.add_argument("--tol", type=float, default=1e-12)
+    p_matrix.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p_matrix.add_argument("--order", choices=("value", "strata"),
                           default="strata")
     p_matrix.add_argument("--csv", default=None)
@@ -338,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_parseval.add_argument("--base", choices=("gamma", "scaled"),
                             default="gamma")
     p_parseval.add_argument("--max-digits", type=int, required=True)
-    p_parseval.add_argument("--tol", type=float, default=1e-12)
+    p_parseval.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p_parseval.add_argument("--json", action="store_true")
     p_parseval.set_defaults(func=cmd_parseval)
 
@@ -350,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_chaos.add_argument("--samples", type=int, nargs="+",
                          default=[1_000_000])
     p_chaos.add_argument("--seed", type=int, default=0)
-    p_chaos.add_argument("--tol", type=float, default=1e-12)
+    p_chaos.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p_chaos.set_defaults(func=cmd_chaos)
 
     return parser

@@ -29,6 +29,9 @@ _COSPI_SLOP = 4.0 * _EPS
 # < 2^-52 since the reduced ratio is < 2) on top of the cosine slop.
 _RATIO_FACTOR_ERR = math.pi * 2.0 ** -52 + _COSPI_SLOP
 
+# Default target for the truncation part of a certified transform value.
+DEFAULT_TOL = 1e-12
+
 
 @dataclass(frozen=True, slots=True, order=True)
 class QuarterInt:
@@ -341,6 +344,9 @@ def mu_hat_product(
         prod = new_prod
 
     bound = err + (abs(prod) + err) * _tail_bound(x, params.base, terms)
+    # |mu_hat| <= 1, so 1 + |prod| is always honest; it caps the bound of a
+    # huge float whose per-factor argument errors add up to more
+    bound = min(bound, 1.0 + abs(prod))
     sign = -1 if prod < 0.0 else 1
     return MuHatValue(False, sign, abs(prod), bound)
 
@@ -360,7 +366,7 @@ def _terms_for(x: float, base: int, tol: float) -> int:
 
 
 def mu_hat(t: QuarterInt | float, params: BernoulliParams,
-           tol: float = 1e-12) -> MuHatValue:
+           tol: float = DEFAULT_TOL) -> MuHatValue:
     """Certified transform value at a quarter-integer or a real point.
 
     Zero-set members return an exact zero.  Otherwise the argument is fully

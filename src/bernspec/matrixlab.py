@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from bernspec.exact import (
+    DEFAULT_TOL,
     BernoulliParams,
     MuHatValue,
     QuarterInt,
@@ -27,6 +28,7 @@ from bernspec.report import CheckReport
 from bernspec.spectrum import (
     TILDE_ONE_POINT,
     Word,
+    check_budget,
     enumerate_spectrum,
     stratum_index,
     tilde_stratum_index,
@@ -42,7 +44,7 @@ class MatrixEntry:
 
 
 def u_entry(
-    row: Word, col: Word, params: BernoulliParams, tol: float = 1e-12
+    row: Word, col: Word, params: BernoulliParams, tol: float = DEFAULT_TOL
 ) -> MatrixEntry:
     """Single matrix entry of the scaled operator: transform at p*col - row."""
     argument = scale_minus(row, col, params)
@@ -68,10 +70,11 @@ class TruncatedMatrix:
         cls,
         params: BernoulliParams,
         max_digits: int,
-        tol: float = 1e-12,
+        tol: float = DEFAULT_TOL,
         order: str = "strata",
     ) -> TruncatedMatrix:
         p = params.require_p()
+        check_budget(4**max_digits, "matrix entries", max_digits)
         words = enumerate_spectrum(params, max_digits, order=order)
         values = [word_value(w, params) for w in words]
         scaled = [p * value for value in values]

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from bernspec.exact import (
+    DEFAULT_TOL,
     BernoulliParams,
     QuarterInt,
     mu_hat,
@@ -172,7 +173,7 @@ def expand_exponential(
     t: QuarterInt | float,
     params: BernoulliParams,
     max_digits: int,
-    tol: float = 1e-12,
+    tol: float = DEFAULT_TOL,
 ) -> CoeffVector:
     """Expand the exponential at frequency t over the truncated spectrum.
 
@@ -198,7 +199,7 @@ def operator_column(
     word: Word,
     params: BernoulliParams,
     max_digits: int,
-    tol: float = 1e-12,
+    tol: float = DEFAULT_TOL,
 ) -> CoeffVector:
     """Column of the scaled operator at a spectrum word.
 
@@ -219,7 +220,7 @@ def parseval_table(
     params: BernoulliParams,
     max_digits: int,
     basis: str = "spectrum",
-    tol: float = 1e-12,
+    tol: float = DEFAULT_TOL,
 ) -> list[ParsevalSum]:
     """Partial Parseval sums of |<exp(t), exp(b)>|^2 at depths 0..max_digits.
 
@@ -251,7 +252,7 @@ def parseval_partial(
     params: BernoulliParams,
     max_digits: int,
     basis: str = "spectrum",
-    tol: float = 1e-12,
+    tol: float = DEFAULT_TOL,
 ) -> ParsevalSum:
     """The last row of parseval_table: the partial sum at depth max_digits."""
     return parseval_table(t, params, max_digits, basis, tol)[-1]

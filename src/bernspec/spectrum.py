@@ -18,6 +18,18 @@ Word = tuple[int, ...]
 TILDE_ONE_POINT = "one-point"
 TILDE_OTHER = "other"
 
+# Most words, or matrix entries, one truncation may hold.  A matrix entry
+# takes about 72 bytes, so the largest matrix allowed (11 digits) is ~300 MB.
+ITEM_BUDGET = 1 << 22
+
+
+def check_budget(count: int, items: str, max_digits: int) -> None:
+    """Raise ValueError, before anything is allocated, when count > ITEM_BUDGET."""
+    if count > ITEM_BUDGET:
+        raise ValueError(
+            f"max_digits {max_digits} needs {count} {items}, over the size "
+            f"budget of {ITEM_BUDGET}")
+
 
 def is_canonical_word(word: Word) -> bool:
     """A digit word is canonical when empty or ending in a nonzero bit."""
@@ -92,6 +104,7 @@ def enumerate_spectrum(
         raise ValueError("max_digits must be >= 0")
     if order not in ("value", "strata"):
         raise ValueError(f"unknown order {order!r}")
+    check_budget(2**max_digits, "words", max_digits)
     indices = list(range(1 << max_digits))
     if order == "strata":
         # a stable sort on the trailing-zero count, which is -1 for m = 0

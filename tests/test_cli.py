@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from bernspec import cli
+from bernspec import cli, matrixlab
 from bernspec.cli import main, parse_frequency
 from bernspec.exact import BernoulliParams, QuarterInt
 from bernspec.matrixlab import TruncatedMatrix
@@ -114,6 +114,20 @@ class TestMatrix:
         assert paths["pgm"].read_bytes().startswith(b"P5\n8 8\n255\n")
         assert paths["svg"].read_text() == expected.to_svg_text()
         assert json.loads(paths["json"].read_text()) == expected.to_json_obj()
+
+
+    @pytest.mark.parametrize("argv,count", [
+        (["spectrum", "--max-digits", "64"], "18446744073709551616 words"),
+        (["matrix", "--p", "5", "--max-digits", "12"],
+         "16777216 matrix entries"),
+    ])
+    def test_oversized_request_rejected(self, argv, count, monkeypatch, capsys):
+        # rejected on the projected count; no word list is ever built
+        monkeypatch.setattr(matrixlab, "enumerate_spectrum", None)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"needs {count}, over the size budget of 4194304" in captured.err
 
 
 class TestVerify:

@@ -340,6 +340,17 @@ class TestMuHat:
         assert res.exact_zero == exact.exact_zero
         assert abs(res.value - exact.value) <= res.error_bound + exact.error_bound
 
+    @pytest.mark.parametrize("x", [1e20, 1e200, 9e307])
+    @pytest.mark.parametrize("n", [3, 5, 6])
+    def test_huge_float_bound_is_capped(self, x, n):
+        # 2n is not a power of two, so every factor carries half an ulp of
+        # |x/n| as argument error; |mu_hat| <= 1 keeps the bound informative
+        params = BernoulliParams(n)
+        res = mu_hat(x, params)
+        exact = mu_hat(QuarterInt(4 * int(x)), params)
+        assert res.error_bound <= 1.0 + res.magnitude
+        assert abs(res.value - exact.value) <= res.error_bound + exact.error_bound
+
     def test_float_argument_must_be_finite(self):
         for x in (float("inf"), float("nan")):
             with pytest.raises(ValueError, match="finite"):

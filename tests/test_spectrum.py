@@ -10,6 +10,8 @@ from bernspec.exact import BernoulliParams, QuarterInt, in_zero_set
 from bernspec.spectrum import (
     TILDE_ONE_POINT,
     TILDE_OTHER,
+    ITEM_BUDGET,
+    check_budget,
     enumerate_spectrum,
     is_canonical_word,
     parse_word,
@@ -135,6 +137,15 @@ class TestEnumerate:
             enumerate_spectrum(N2, -1)
         with pytest.raises(ValueError):
             enumerate_spectrum(N2, 3, order="sideways")
+
+    def test_size_budget(self):
+        # decided on the projected count, before any word is listed
+        check_budget(ITEM_BUDGET, "words", 22)
+        for d in (23, 64):
+            with pytest.raises(ValueError, match=(
+                    f"max_digits {d} needs {2**d} words, "
+                    f"over the size budget of {ITEM_BUDGET}")):
+                enumerate_spectrum(N2, d)
 
     @pytest.mark.parametrize("params", [N2, N3, N4])
     def test_self_similarity(self, params):
