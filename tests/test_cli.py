@@ -115,14 +115,13 @@ class TestMatrix:
         assert paths["svg"].read_text() == expected.to_svg_text()
         assert json.loads(paths["json"].read_text()) == expected.to_json_obj()
 
-
     @pytest.mark.parametrize("argv,count", [
         (["spectrum", "--max-digits", "64"], "18446744073709551616 words"),
         (["matrix", "--p", "5", "--max-digits", "12"],
          "16777216 matrix entries"),
     ])
     def test_oversized_request_rejected(self, argv, count, monkeypatch, capsys):
-        # rejected on the projected count; no word list is ever built
+        # rejected on the projected count, before the matrix lists its words
         monkeypatch.setattr(matrixlab, "enumerate_spectrum", None)
         assert main(argv) == 2
         captured = capsys.readouterr()

@@ -4,7 +4,6 @@ import math
 
 import pytest
 
-from bernspec import matrixlab
 from bernspec.exact import BernoulliParams, QuarterInt, reduce_argument
 from bernspec.matrixlab import (
     TruncatedMatrix,
@@ -18,12 +17,7 @@ from bernspec.matrixlab import (
     verify_odd_twisted_relations,
     verify_w0_sparsity,
 )
-from bernspec.spectrum import (
-    ITEM_BUDGET,
-    TILDE_ONE_POINT,
-    enumerate_spectrum,
-    word_value,
-)
+from bernspec.spectrum import TILDE_ONE_POINT, enumerate_spectrum, word_value
 
 N2P5 = BernoulliParams(2, 5)
 N3P3 = BernoulliParams(3, 3)
@@ -63,15 +57,6 @@ class TestTruncatedMatrix:
         assert len(m.words) == 8
         assert len(m.entries) == 8
         assert all(len(row) == 8 for row in m.entries)
-
-    def test_size_budget(self, monkeypatch):
-        # 4^12 entries are over the budget though 2^12 words are not; the
-        # check must come first, so the words are never even listed
-        monkeypatch.setattr(matrixlab, "enumerate_spectrum", None)
-        with pytest.raises(ValueError, match=(
-                f"max_digits 12 needs {4**12} matrix entries, "
-                f"over the size budget of {ITEM_BUDGET}")):
-            TruncatedMatrix.build(N2P5, 12)
 
     @pytest.mark.parametrize("params", [N2P5, BernoulliParams(3, 5)])
     @pytest.mark.parametrize("order", ["strata", "value"])

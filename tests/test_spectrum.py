@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from bernspec.exact import BernoulliParams, QuarterInt, in_zero_set
 from bernspec.spectrum import (
+    ITEM_BUDGET,
     TILDE_ONE_POINT,
     TILDE_OTHER,
-    ITEM_BUDGET,
     check_budget,
     enumerate_spectrum,
     is_canonical_word,
