@@ -8,6 +8,8 @@ which vanishes exactly at the points (2n)^k * (odd integer) / 4, k >= 1.
 All structural questions (membership, argument reduction, factor signs)
 are decided on quarter-integers in plain integer arithmetic; floats enter
 only through cosine factors that carry a certified absolute error bound.
+Every argument, a quarter-integer or a float, is evaluated through its
+exact ratio numerator/denominator, so one factor walk serves both.
 """
 
 from __future__ import annotations
@@ -208,90 +210,84 @@ def reduce_argument(t: QuarterInt, params: BernoulliParams) -> tuple[int, Quarte
 # certified cosine factors
 
 
-def _cospi_reduced(r: float) -> tuple[float, bool]:
-    # cos(pi*r) for r in [0, 2]; flag marks exactly-known grid values.
-    # Shifted branches keep the libm argument small near the zeros of cos,
-    # and every shift below is exact (Sterbenz or shared binade).
-    if r == 0.0:
-        return 1.0, True
-    if r == 0.5 or r == 1.5:
-        return 0.0, True
-    if r == 1.0:
-        return -1.0, True
+def _ratio(t: QuarterInt | float) -> tuple[int, int]:
+    # the argument as its exact ratio numer/denom, denom > 0
+    if isinstance(t, QuarterInt):
+        return t.numerator, 4
+    x = float(t)
+    if not math.isfinite(x):
+        raise ValueError(f"t must be finite, got {t!r}")
+    return x.as_integer_ratio()
+
+
+def _log_abs(numer: int, denom: int) -> float:
+    # log|numer/denom| of a nonzero ratio; math.log takes any int, so a
+    # numerator past the float range is never converted
+    return math.log(abs(numer)) - math.log(denom)
+
+
+def _cospi_reduced(r: float) -> float:
+    # cos(pi*r) for r in [0, 2] off the grid {0, 1/2, 1, 3/2}, which
+    # _factors decides in integers.  Shifted branches keep the libm argument small near the
+    # zeros of cos, and every shift below is exact (Sterbenz or shared binade).
     if r <= 0.25:
-        return math.cos(math.pi * r), False
+        return math.cos(math.pi * r)
     if r < 0.75:
-        return -math.sin(math.pi * (r - 0.5)), False
+        return -math.sin(math.pi * (r - 0.5))
     if r <= 1.25:
-        return -math.cos(math.pi * (r - 1.0)), False
+        return -math.cos(math.pi * (r - 1.0))
     if r < 1.75:
-        return math.sin(math.pi * (r - 1.5)), False
-    return math.cos(math.pi * (r - 2.0)), False
+        return math.sin(math.pi * (r - 1.5))
+    return math.cos(math.pi * (r - 2.0))
 
 
-def _cospi(y: float) -> tuple[float, bool]:
-    # cos(pi*y) with range reduction; fmod is exact, the negative-branch
-    # shift costs at most one rounding (covered by _COSPI_SLOP).
-    r = math.fmod(y, 2.0)
-    if r < 0.0:
-        r += 2.0
-    return _cospi_reduced(r)
-
-
-def _ratio_factors(numer: int, base: int, terms: int) -> Iterator[tuple[float, float]]:
-    # Factor k of the product is cos(pi * |numer| / (2 * base^k)).  The
-    # argument is reduced mod 2 exactly as an integer ratio, so grid values
-    # (0, +-1 and the zeros) are recognized without any float comparison.
-    n_abs = abs(numer)
-    power = 1
-    for _ in range(terms):
-        power *= base
-        den = 2 * power
-        num = n_abs % (2 * den)
+def _factors(numer: int, denom: int, base: int,
+             terms: int) -> Iterator[tuple[float, float]]:
+    # Factor k is cos(pi r_k) with r_k = s_k mod 2, s_k = 2|x| / base^k and
+    # x = numer/denom; each comes with an absolute error bound.  r_k is
+    # reduced exactly as an integer ratio, so grid values (0, +-1 and the
+    # zeros) are decided on integers and only one rounded division reaches
+    # the cosine.  Once s_k < 1 is off the grid, no later s_j = s_k /
+    # base^(j-k) wraps or lands on the grid (they lie in (0, 1/2)), so the
+    # walk goes on in floats from half an ulp of argument error: division
+    # is exact when 2n is a power of two, else costs half an ulp per step.
+    twice = 2 * abs(numer)
+    den = denom
+    for k in range(terms):
+        den *= base
+        num = twice % (2 * den)
         if num == 0:
             yield 1.0, 0.0
         elif 2 * num == den or 2 * num == 3 * den:
             yield 0.0, 0.0
         elif num == den:
             yield -1.0, 0.0
+        elif twice < den:
+            break
         else:
-            value, _ = _cospi_reduced(num / den)
-            yield value, _RATIO_FACTOR_ERR
-
-
-def _float_factors(x: float, base: int, terms: int) -> Iterator[tuple[float, float]]:
-    # Generic real argument: divide down by the base, tracking an absolute
-    # error bound on the argument (division is exact when 2n is a power of
-    # two, else costs half an ulp per step).  The first step takes 2x/(2n)
-    # as x/n, one rounding of the same real, so 2x cannot overflow.
+            yield _cospi_reduced(num / den), _RATIO_FACTOR_ERR
+    else:
+        return
     exact_division = base & (base - 1) == 0
-    y = x
-    y_err = 0.0
-    divisor = base // 2
-    for _ in range(terms):
-        y = y / divisor
-        y_err = y_err / divisor
+    y = twice / den
+    y_err = 0.5 * _EPS * y
+    for _ in range(k, terms):
+        yield _cospi_reduced(y), math.pi * y_err + _COSPI_SLOP
+        y /= base
+        y_err /= base
         if not exact_division:
-            y_err += 0.5 * _EPS * abs(y)
-        divisor = base
-        value, on_grid = _cospi(y)
-        if on_grid and y_err == 0.0:
-            yield value, 0.0
-        else:
-            yield value, math.pi * y_err + _COSPI_SLOP
+            y_err += 0.5 * _EPS * y
 
 
-def _tail_bound(x: float, base: int, terms: int) -> float:
-    # Bound on |1 - prod_{k > terms} cos(2 pi x / base^k)|.  With
-    # a_k = (2 pi x)^2 / (2 base^(2k)) the dropped factors lie in
+def _tail_bound(log_x: float, base: int, terms: int) -> float:
+    # Bound on |1 - prod_{k > terms} cos(2 pi x / base^k)| from log|x|.
+    # With a_k = (2 pi x)^2 / (2 base^(2k)) the dropped factors lie in
     # [1 - a_k, 1], and 1 - prod(1 - a_k) <= sum a_k = S whenever S < 1.
     # Worked in the log domain so huge |x| cannot overflow.
-    if x == 0.0:
-        return 0.0
     log_s = (
         math.log(2.0)
         + 2.0 * math.log(math.pi)
-        + 2.0 * math.log(abs(x))
+        + 2.0 * log_x
         - math.log(float(base * base - 1))
         - 2.0 * terms * math.log(float(base))
     )
@@ -308,23 +304,19 @@ def mu_hat_product(
     Evaluates prod_{k=1..terms} cos(2 pi t / (2n)^k); error_bound covers
     the accumulated rounding of the partial product AND the dropped tail,
     so the infinite product lies within error_bound of sign * magnitude.
-    Quarter-integer arguments get exact per-factor reduction: zero factors
-    are then recognized exactly and short-circuit to an exact zero.
+    Every argument is walked as its exact ratio (a quarter-integer as
+    numerator/4, a float as its integer ratio): a zero factor is then
+    recognized exactly and short-circuits to an exact zero.
     """
     if terms < 1:
         raise ValueError("terms must be >= 1")
-    if isinstance(t, QuarterInt):
-        x = float(t)
-        factors = _ratio_factors(t.numerator, params.base, terms)
-    else:
-        x = float(t)
-        if not math.isfinite(x):
-            raise ValueError(f"t must be finite, got {t!r}")
-        factors = _float_factors(x, params.base, terms)
+    numer, denom = _ratio(t)
+    if numer == 0:
+        return MuHatValue(False, 1, 1.0, 0.0)
 
     prod = 1.0
     err = 0.0
-    for value, factor_err in factors:
+    for value, factor_err in _factors(numer, denom, params.base, terms):
         if factor_err == 0.0:
             if value == 0.0:
                 return MuHatValue.zero()
@@ -343,22 +335,22 @@ def mu_hat_product(
         )
         prod = new_prod
 
-    bound = err + (abs(prod) + err) * _tail_bound(x, params.base, terms)
+    bound = err + (abs(prod) + err) * _tail_bound(
+        _log_abs(numer, denom), params.base, terms)
     # |mu_hat| <= 1, so 1 + |prod| is always honest; it caps the bound of a
-    # huge float whose per-factor argument errors add up to more
+    # product too short for its argument
     bound = min(bound, 1.0 + abs(prod))
     sign = -1 if prod < 0.0 else 1
     return MuHatValue(False, sign, abs(prod), bound)
 
 
-def _terms_for(x: float, base: int, tol: float) -> int:
-    # smallest truncation depth putting the geometric tail under tol/2
-    if x == 0.0:
-        return 1
+def _terms_for(log_x: float, base: int, tol: float) -> int:
+    # smallest truncation depth putting the geometric tail of a point with
+    # log|x| = log_x under tol/2
     log_s0 = (
         math.log(2.0)
         + 2.0 * math.log(math.pi)
-        + 2.0 * math.log(abs(x))
+        + 2.0 * log_x
         - math.log(float(base * base - 1))
     )
     k = (log_s0 - math.log(tol / 2.0)) / (2.0 * math.log(float(base)))
@@ -369,29 +361,30 @@ def mu_hat(t: QuarterInt | float, params: BernoulliParams,
            tol: float = DEFAULT_TOL) -> MuHatValue:
     """Certified transform value at a quarter-integer or a real point.
 
-    Zero-set members return an exact zero.  Otherwise the argument is fully
-    reduced and the truncated product is evaluated with enough terms to put
-    the truncation part of the bound below tol.  The reported error_bound
-    is the honest total (truncation plus rounding), so it can exceed an
-    extremely small tol; it is never understated.  A float t skips the
-    integer reduction: one product, sized the same way, over its factors.
+    A quarter-integer, and a float whose exact value is one (every float
+    of magnitude 2^51 or more, and decimals such as 2.5), is decided in
+    integers: a zero-set member returns an exact zero, and any other point
+    is fully reduced before its product.  The truncated product is then
+    evaluated with enough terms to put the truncation part of the bound
+    below tol.  The reported error_bound is the honest total (truncation
+    plus rounding), so it can exceed an extremely small tol; it is never
+    understated.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    if not isinstance(t, QuarterInt):
-        x = float(t)
-        if not math.isfinite(x):
-            raise ValueError(f"t must be finite, got {t!r}")
-        return mu_hat_product(x, params, _terms_for(x, params.base, tol))
-    if in_zero_set(t, params):
-        return MuHatValue.zero()
-    sign, reduced = reduce_argument(t, params)
-    if reduced.numerator == 0:
-        return MuHatValue(False, sign, 1.0, 0.0)
-    terms = _terms_for(float(reduced), params.base, tol)
-    result = mu_hat_product(reduced, params, terms)
+    numer, denom = _ratio(t)
+    sign = 1
+    if 4 % denom == 0:
+        sign, t = reduce_argument(QuarterInt(numer * (4 // denom)), params)
+        if sign == 0:
+            return MuHatValue.zero()
+        numer, denom = t.numerator, 4
+    if numer == 0:
+        return MuHatValue(False, 1, 1.0, 0.0)
+    terms = _terms_for(_log_abs(numer, denom), params.base, tol)
+    result = mu_hat_product(t, params, terms)
     if not result.exact_zero and result.error_bound > tol:
-        result = mu_hat_product(reduced, params, 2 * terms)
+        result = mu_hat_product(t, params, 2 * terms)
     if result.exact_zero:
         return result
     return MuHatValue(False, sign * result.sign, result.magnitude, result.error_bound)

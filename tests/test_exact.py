@@ -351,6 +351,13 @@ class TestMuHat:
         assert res.error_bound <= 1.0 + res.magnitude
         assert abs(res.value - exact.value) <= res.error_bound + exact.error_bound
 
+    @pytest.mark.parametrize("x", [2.5, -7.25, 1.5, 1e200, 9e307])
+    @pytest.mark.parametrize("params", [N2, N3, BernoulliParams(5)])
+    def test_quarter_valued_float_takes_the_integer_path(self, x, params):
+        # the same exact point gives the same certified value either way
+        quarter = QuarterInt(int(4 * Fraction(x)))
+        assert mu_hat(x, params) == mu_hat(quarter, params)
+
     def test_float_argument_must_be_finite(self):
         for x in (float("inf"), float("nan")):
             with pytest.raises(ValueError, match="finite"):
