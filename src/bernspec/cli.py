@@ -5,7 +5,7 @@ transform values), spectrum (word listing), matrix (truncated operator
 matrix with CSV/JSON/PGM/SVG export), verify (the theorem suites, exit 0
 iff no violations), parseval (partial-sum table), chaos (Monte-Carlo
 cross-check).  Arguments written as "a", "a/2" or "a/4" stay exact;
-decimals are routed to the numeric path.  Relative output paths are
+a decimal is read as the binary float it names.  Relative output paths are
 resolved against BERNSPEC_OUTPUT_DIR when it is set.
 """
 
@@ -77,7 +77,7 @@ def _resolve_output(path_text: str) -> Path:
 
 
 def cmd_muhat(args: argparse.Namespace) -> int:
-    params = BernoulliParams(args.n, args.p)
+    params = BernoulliParams(args.n)
     t = parse_frequency(args.t)
     if args.terms is None:
         result = mu_hat(t, params, args.tol)
@@ -103,7 +103,7 @@ def cmd_muhat(args: argparse.Namespace) -> int:
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
-    params = BernoulliParams(args.n, args.p)
+    params = BernoulliParams(args.n)
     lines = ["word,value,stratum"]
     for w in enumerate_spectrum(params, args.max_digits, order=args.order):
         stratum = stratum_index(w)
@@ -242,14 +242,15 @@ def cmd_parseval(args: argparse.Namespace) -> int:
 
 
 def cmd_chaos(args: argparse.Namespace) -> int:
-    params = BernoulliParams(args.n, args.p)
+    params = BernoulliParams(args.n)
     t = parse_frequency(args.t)
-    if any(samples < 1 for samples in args.samples):
-        raise ValueError("samples must be >= 1")
     reference = mu_hat(t, params, args.tol)
+    # every estimate runs before the first line, so a rejected input
+    # prints nothing
+    estimates = [chaos_game_estimate(t, params, samples, seed=args.seed)
+                 for samples in args.samples]
     print("samples estimate std_error reference deviation_sigmas")
-    for samples in args.samples:
-        estimate = chaos_game_estimate(t, params, samples, seed=args.seed)
+    for samples, estimate in zip(args.samples, estimates):
         if estimate.std_error > 0.0 and estimate.std_error != float("inf"):
             sigmas = abs(estimate.estimate - reference.value) / estimate.std_error
         else:
@@ -279,7 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_muhat = sub.add_parser(
         "muhat", help="evaluate the transform at one frequency")
     p_muhat.add_argument("--n", type=int, default=2)
-    p_muhat.add_argument("--p", type=int, default=None)
     p_muhat.add_argument("--t", required=True,
                          help="frequency: integer, a/2, a/4, or decimal")
     p_muhat.add_argument("--tol", type=float, default=DEFAULT_TOL)
@@ -291,7 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_spec = sub.add_parser(
         "spectrum", help="list spectrum words of bounded digit length")
     p_spec.add_argument("--n", type=int, default=2)
-    p_spec.add_argument("--p", type=int, default=None)
     p_spec.add_argument("--max-digits", type=int, required=True)
     p_spec.add_argument("--order", choices=("value", "strata"),
                         default="value")
@@ -346,7 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_chaos = sub.add_parser(
         "chaos", help="Monte-Carlo estimate vs certified product value")
     p_chaos.add_argument("--n", type=int, default=2)
-    p_chaos.add_argument("--p", type=int, default=None)
     p_chaos.add_argument("--t", required=True)
     p_chaos.add_argument("--samples", type=int, nargs="+",
                          default=[1_000_000])

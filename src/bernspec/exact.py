@@ -220,16 +220,24 @@ def _ratio(t: QuarterInt | float) -> tuple[int, int]:
     return x.as_integer_ratio()
 
 
-def _log_abs(numer: int, denom: int) -> float:
-    # log|numer/denom| of a nonzero ratio; math.log takes any int, so a
-    # numerator past the float range is never converted
-    return math.log(abs(numer)) - math.log(denom)
+def _log_tail(numer: int, denom: int, base: int) -> float:
+    # log of sum_{k >= 1} (2 pi x)^2 / (2 base^(2k)) = 2 pi^2 x^2 / (base^2 - 1)
+    # for x = numer/denom != 0; the sum past `terms` factors is this times
+    # base^(-2 terms).  math.log takes any int, so a numerator past the
+    # float range is never converted.
+    return (
+        math.log(2.0)
+        + 2.0 * math.log(math.pi)
+        + 2.0 * (math.log(abs(numer)) - math.log(denom))
+        - math.log(float(base * base - 1))
+    )
 
 
 def _cospi_reduced(r: float) -> float:
     # cos(pi*r) for r in [0, 2] off the grid {0, 1/2, 1, 3/2}, which
-    # _factors decides in integers.  Shifted branches keep the libm argument small near the
-    # zeros of cos, and every shift below is exact (Sterbenz or shared binade).
+    # _factors decides in integers.  Shifted branches keep the libm
+    # argument small near the zeros of cos, and every shift below is exact
+    # (Sterbenz or shared binade).
     if r <= 0.25:
         return math.cos(math.pi * r)
     if r < 0.75:
@@ -279,18 +287,12 @@ def _factors(numer: int, denom: int, base: int,
             y_err += 0.5 * _EPS * y
 
 
-def _tail_bound(log_x: float, base: int, terms: int) -> float:
-    # Bound on |1 - prod_{k > terms} cos(2 pi x / base^k)| from log|x|.
-    # With a_k = (2 pi x)^2 / (2 base^(2k)) the dropped factors lie in
+def _tail_bound(log_tail: float, base: int, terms: int) -> float:
+    # Bound on |1 - prod_{k > terms} cos(2 pi x / base^k)|.  With
+    # a_k = (2 pi x)^2 / (2 base^(2k)) the dropped factors lie in
     # [1 - a_k, 1], and 1 - prod(1 - a_k) <= sum a_k = S whenever S < 1.
     # Worked in the log domain so huge |x| cannot overflow.
-    log_s = (
-        math.log(2.0)
-        + 2.0 * math.log(math.pi)
-        + 2.0 * log_x
-        - math.log(float(base * base - 1))
-        - 2.0 * terms * math.log(float(base))
-    )
+    log_s = log_tail - 2.0 * terms * math.log(float(base))
     if log_s >= 0.0:
         return 2.0
     return min(2.0, math.exp(log_s) * (1.0 + 1e-9))
@@ -336,7 +338,7 @@ def mu_hat_product(
         prod = new_prod
 
     bound = err + (abs(prod) + err) * _tail_bound(
-        _log_abs(numer, denom), params.base, terms)
+        _log_tail(numer, denom, params.base), params.base, terms)
     # |mu_hat| <= 1, so 1 + |prod| is always honest; it caps the bound of a
     # product too short for its argument
     bound = min(bound, 1.0 + abs(prod))
@@ -344,16 +346,9 @@ def mu_hat_product(
     return MuHatValue(False, sign, abs(prod), bound)
 
 
-def _terms_for(log_x: float, base: int, tol: float) -> int:
-    # smallest truncation depth putting the geometric tail of a point with
-    # log|x| = log_x under tol/2
-    log_s0 = (
-        math.log(2.0)
-        + 2.0 * math.log(math.pi)
-        + 2.0 * log_x
-        - math.log(float(base * base - 1))
-    )
-    k = (log_s0 - math.log(tol / 2.0)) / (2.0 * math.log(float(base)))
+def _terms_for(log_tail: float, base: int, tol: float) -> int:
+    # smallest truncation depth putting the geometric tail under tol/2
+    k = (log_tail - math.log(tol / 2.0)) / (2.0 * math.log(float(base)))
     return max(4, math.ceil(k) + 2)
 
 
@@ -362,7 +357,7 @@ def mu_hat(t: QuarterInt | float, params: BernoulliParams,
     """Certified transform value at a quarter-integer or a real point.
 
     A quarter-integer, and a float whose exact value is one (every float
-    of magnitude 2^51 or more, and decimals such as 2.5), is decided in
+    of magnitude 2^50 or more, and decimals such as 2.5), is decided in
     integers: a zero-set member returns an exact zero, and any other point
     is fully reduced before its product.  The truncated product is then
     evaluated with enough terms to put the truncation part of the bound
@@ -381,7 +376,7 @@ def mu_hat(t: QuarterInt | float, params: BernoulliParams,
         numer, denom = t.numerator, 4
     if numer == 0:
         return MuHatValue(False, 1, 1.0, 0.0)
-    terms = _terms_for(_log_abs(numer, denom), params.base, tol)
+    terms = _terms_for(_log_tail(numer, denom, params.base), params.base, tol)
     result = mu_hat_product(t, params, terms)
     if not result.exact_zero and result.error_bound > tol:
         result = mu_hat_product(t, params, 2 * terms)
@@ -408,10 +403,17 @@ def chaos_game_estimate(
     expansion is truncated once (2n)^-k falls below float resolution, which
     biases the mean by far less than the Monte-Carlo standard error.
     Returns (estimate, std_error) with the sample standard error of the
-    mean; a single sample reports an infinite std_error.
+    mean; a single sample reports an infinite std_error.  The phase
+    frequency 2 pi t must be a finite float.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    try:
+        omega = 2.0 * math.pi * float(t)
+    except OverflowError:
+        omega = math.inf
+    if not math.isfinite(omega):
+        raise ValueError(f"2 pi t must be a finite float, got t = {t}")
     base = params.base
     depth = math.ceil(53.0 * math.log(2.0) / math.log(base)) + 1
     rng = np.random.default_rng(seed)
@@ -420,7 +422,7 @@ def chaos_game_estimate(
     for _ in range(depth):
         scale /= base
         x += scale * (2.0 * rng.integers(0, 2, size=samples) - 1.0)
-    phases = np.cos((2.0 * math.pi * float(t)) * x)
+    phases = np.cos(omega * x)
     estimate = float(phases.mean())
     if samples == 1:
         return ChaosEstimate(estimate, float("inf"))

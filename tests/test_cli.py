@@ -10,6 +10,9 @@ from bernspec.exact import BernoulliParams, QuarterInt
 from bernspec.matrixlab import TruncatedMatrix
 from bernspec.report import CheckReport
 
+# 401 digits: past the float range, so float(t) would overflow
+HUGE_INTEGER = str(10**400 + 7)
+
 
 class TestParseFrequency:
     def test_exact_forms(self):
@@ -69,6 +72,24 @@ class TestMuhat:
     def test_zero_terms_rejected(self, capsys):
         assert main(["muhat", "--n", "2", "--t", "0.3", "--terms", "0"]) == 2
         assert "terms must be >= 1" in capsys.readouterr().err
+
+    def test_integer_past_the_float_range(self, capsys):
+        assert main(["muhat", "--n", "3", f"--t={HUGE_INTEGER}", "--json"]) == 0
+        obj = json.loads(capsys.readouterr().out)
+        assert obj["exact_zero"] is False
+        assert obj["error_bound"] <= 1e-12
+
+    @pytest.mark.parametrize("command", [
+        ["muhat", "--t", "1"],
+        ["spectrum", "--max-digits", "2"],
+        ["chaos", "--t", "1", "--samples", "10"],
+    ])
+    def test_scale_factor_not_taken(self, command, capsys):
+        # only matrix, parseval and verify use p
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--p", "5"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --p 5" in capsys.readouterr().err
 
 
 class TestSpectrum:
@@ -271,3 +292,12 @@ class TestChaos:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "samples must be >= 1" in captured.err
+
+    @pytest.mark.parametrize("t", ["1e308", HUGE_INTEGER],
+                             ids=["1e308", "401-digit"])
+    def test_frequency_past_the_float_range_rejected(self, t, capsys):
+        # 2 pi t is not a finite float, so no sample phase is meaningful
+        assert main(["chaos", f"--t={t}", "--samples", "10"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "2 pi t must be a finite float" in captured.err
