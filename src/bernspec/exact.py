@@ -8,8 +8,9 @@ which vanishes exactly at the points (2n)^k * (odd integer) / 4, k >= 1.
 All structural questions (membership, argument reduction, factor signs)
 are decided on quarter-integers in plain integer arithmetic; floats enter
 only through cosine factors that carry a certified absolute error bound.
-Every argument, a quarter-integer or a float, is evaluated through its
-exact ratio numerator/denominator, so one factor walk serves both.
+Every argument, a quarter-integer, a fraction or a float, is evaluated
+through its exact ratio numerator/denominator, so one factor walk serves
+them all.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -210,14 +212,29 @@ def reduce_argument(t: QuarterInt, params: BernoulliParams) -> tuple[int, Quarte
 # certified cosine factors
 
 
-def _ratio(t: QuarterInt | float) -> tuple[int, int]:
+def _ratio(t: QuarterInt | Fraction | float) -> tuple[int, int]:
     # the argument as its exact ratio numer/denom, denom > 0
     if isinstance(t, QuarterInt):
         return t.numerator, 4
+    if isinstance(t, Fraction):
+        return t.numerator, t.denominator
     x = float(t)
     if not math.isfinite(x):
         raise ValueError(f"t must be finite, got {t!r}")
     return x.as_integer_ratio()
+
+
+def exact_value(t: QuarterInt | Fraction | float) -> QuarterInt | Fraction:
+    """The exact number t holds: a QuarterInt when 4t is an integer, else a Fraction.
+
+    A finite float is the dyadic rational numer / 2^e it stores, so off the
+    quarter grid its Fraction has a power-of-two denominator >= 8.  A float
+    that is not finite raises ValueError.
+    """
+    numer, denom = _ratio(t)
+    if 4 % denom == 0:
+        return QuarterInt(numer * (4 // denom))
+    return Fraction(numer, denom)
 
 
 def _log_tail(numer: int, denom: int, base: int) -> float:
@@ -299,7 +316,7 @@ def _tail_bound(log_tail: float, base: int, terms: int) -> float:
 
 
 def mu_hat_product(
-    t: QuarterInt | float, params: BernoulliParams, terms: int
+    t: QuarterInt | Fraction | float, params: BernoulliParams, terms: int
 ) -> MuHatValue:
     """Truncated product for the transform, with a certified total bound.
 
@@ -307,8 +324,8 @@ def mu_hat_product(
     the accumulated rounding of the partial product AND the dropped tail,
     so the infinite product lies within error_bound of sign * magnitude.
     Every argument is walked as its exact ratio (a quarter-integer as
-    numerator/4, a float as its integer ratio): a zero factor is then
-    recognized exactly and short-circuits to an exact zero.
+    numerator/4, a fraction or a float as its integer ratio): a zero factor
+    is then recognized exactly and short-circuits to an exact zero.
     """
     if terms < 1:
         raise ValueError("terms must be >= 1")
@@ -352,21 +369,21 @@ def _terms_for(log_tail: float, base: int, tol: float) -> int:
     return max(4, math.ceil(k) + 2)
 
 
-def mu_hat(t: QuarterInt | float, params: BernoulliParams,
+def mu_hat(t: QuarterInt | Fraction | float, params: BernoulliParams,
            tol: float = DEFAULT_TOL) -> MuHatValue:
     """Certified transform value at a quarter-integer or a real point.
 
-    A quarter-integer, and a float whose exact value is one (every float
-    of magnitude 2^50 or more, and decimals such as 2.5), is decided in
-    integers: a zero-set member returns an exact zero, and any other point
-    is fully reduced before its product.  The truncated product is then
-    evaluated with enough terms to put the truncation part of the bound
-    below tol.  The reported error_bound is the honest total (truncation
-    plus rounding), so it can exceed an extremely small tol; it is never
-    understated.
+    A quarter-integer, and a fraction or float whose exact value is one
+    (every float of magnitude 2^50 or more, and decimals such as 2.5), is
+    decided in integers: a zero-set member returns an exact zero, and any
+    other point is fully reduced before its product.  The truncated product
+    is then evaluated with enough terms to put the truncation part of the
+    bound below tol, which must be finite and positive.  The reported
+    error_bound is the honest total (truncation plus rounding), so it can
+    exceed an extremely small tol; it is never understated.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
     numer, denom = _ratio(t)
     sign = 1
     if 4 % denom == 0:

@@ -36,22 +36,9 @@ from bernspec.spectrum import (
     word_value,
 )
 
-@dataclass(frozen=True)
-class MatrixEntry:
-    row: Word
-    col: Word
-    value: MuHatValue
-
-
-def u_entry(
-    row: Word, col: Word, params: BernoulliParams, tol: float = DEFAULT_TOL
-) -> MatrixEntry:
-    """Single matrix entry of the scaled operator: transform at p*col - row."""
-    argument = scale_minus(row, col, params)
-    return MatrixEntry(row, col, mu_hat(argument, params, tol))
-
 
 def scale_minus(row: Word, col: Word, params: BernoulliParams) -> QuarterInt:
+    """The argument p*col - row of the matrix entry at (row, col)."""
     return params.require_p() * word_value(col, params) - word_value(row, params)
 
 
@@ -224,6 +211,7 @@ def verify_block_diagonal(params: BernoulliParams, max_digits: int) -> CheckRepo
     report = CheckReport(
         f"block-diagonal(n={params.n}, p={params.require_p()}, "
         f"digits<={max_digits})")
+    check_budget(4**max_digits, "word pairs", max_digits)
     words = [(w, word_value(w, params), stratum_index(w))
              for w in enumerate_spectrum(params, max_digits)]
     p = params.require_p()
@@ -251,6 +239,7 @@ def verify_block_equality(
         f"digits<={max_digits}, k<={k_max})")
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
+    check_budget(4**max_digits, "word pairs", max_digits)
     p = params.require_p()
     stratum0 = [(w, word_value(w, params))
                 for w in enumerate_spectrum(params, max_digits) if w and w[0] == 1]
@@ -278,6 +267,7 @@ def verify_commutation_even(params: BernoulliParams, max_digits: int) -> CheckRe
     report = CheckReport(
         f"commute-even(n={params.n}, p={params.require_p()}, "
         f"digits<={max_digits})")
+    check_budget(4**max_digits, "word pairs", max_digits)
     p = params.require_p()
     base = params.base
     inner = [(w, word_value(w, params))
@@ -311,6 +301,7 @@ def verify_odd_twisted_relations(
     report = CheckReport(
         f"commute-odd(n={params.n}, p={params.require_p()}, "
         f"digits<={max_digits})")
+    check_budget(4**max_digits, "word pairs", max_digits)
     p = params.require_p()
     base, half = params.base, params.half_n
     words = [(w, word_value(w, params)) for w in enumerate_spectrum(params, max_digits)]
@@ -347,6 +338,7 @@ def verify_multiplication_identity(
         raise ValueError("max_digits must be >= 1")
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
+    check_budget(4**max_digits, "word pairs", max_digits)
     one = QuarterInt.from_int(1)
     words = [((1,) + w, word_value(w, params), word_value((1,) + w, params))
              for w in enumerate_spectrum(params, max_digits - 1)]
@@ -445,6 +437,7 @@ def analyze_w0_sparsity(
         f"w0-sparsity(digits<={max_digits}"
         + (f", classes<={tilde_max}" if tilde_max is not None else "")
         + ")")
+    check_budget(4**max_digits, "word pairs", max_digits)
     classes: dict[int | str, list[tuple[Word, QuarterInt]]] = {}
     for w in enumerate_spectrum(params, max_digits):
         if not w or w[0] != 1:

@@ -12,15 +12,17 @@ given by the transform at difference arguments.
 
 from __future__ import annotations
 
-import math
 import sys
 from dataclasses import dataclass
-from typing import NamedTuple
+from fractions import Fraction
+from typing import Iterator, NamedTuple
 
 from bernspec.exact import (
     DEFAULT_TOL,
     BernoulliParams,
+    MuHatValue,
     QuarterInt,
+    exact_value,
     mu_hat,
 )
 from bernspec.report import CheckReport
@@ -28,7 +30,7 @@ from bernspec.spectrum import (
     Word,
     check_word,
     enumerate_spectrum,
-    scale_value,
+    point_numerators,
     word_to_bits,
     word_value,
 )
@@ -126,9 +128,6 @@ class CoeffVector:
     error_bounds: dict[Word, float]
     residual_bound: float
 
-    def support(self) -> list[Word]:
-        return sorted(self.coefficients, key=lambda w: (len(w), tuple(reversed(w))))
-
     def norm_sq(self) -> float:
         return sum(c * c for c in self.coefficients.values())
 
@@ -146,27 +145,34 @@ class CoeffVector:
                     "coefficient": self.coefficients[w],
                     "error_bound": self.error_bounds[w],
                 }
-                for w in self.support()
+                for w in self.coefficients
             ],
             "residual_bound": self.residual_bound,
         }
 
 
-def _coefficient(t: QuarterInt | float, point: QuarterInt,
-                 params: BernoulliParams, tol: float):
-    # transform at t - point; None encodes an exact zero
+def _coefficients(
+    t: QuarterInt | float,
+    params: BernoulliParams,
+    max_digits: int,
+    scale: int,
+    tol: float,
+) -> Iterator[tuple[Word, MuHatValue]]:
+    # (word, transform at t - scale * gamma) over the truncation in counting
+    # order.  t is lifted to its exact value once: a quarter-integer
+    # subtracts as a QuarterInt, and any other float is numer / 2^e with
+    # e >= 3, so each argument is one integer multiply-subtract over 2^e.
+    t = exact_value(t)
+    words = enumerate_spectrum(params, max_digits)
+    points = point_numerators(params, max_digits)
     if isinstance(t, QuarterInt):
-        result = mu_hat(t - point, params, tol)
-        slack = 0.0
+        arguments = (QuarterInt(t.numerator - scale * point) for point in points)
     else:
-        result = mu_hat(t - float(point), params, tol)
-        # the float subtraction perturbs the argument by <= eps/2 * (|t|+|point|);
-        # the transform has derivative bounded by 2 pi / (2n - 1)
-        slack = (2.0 * math.pi / (params.base - 1)) \
-            * 0.5 * _EPS * (abs(t) + abs(float(point)))
-    if result.exact_zero:
-        return None
-    return result.value, result.error_bound + slack
+        numer, denom = t.numerator, t.denominator
+        step = scale * (denom // 4)
+        arguments = (Fraction(numer - point * step, denom) for point in points)
+    for w, argument in zip(words, arguments):
+        yield w, mu_hat(argument, params, tol)
 
 
 def expand_exponential(
@@ -177,37 +183,20 @@ def expand_exponential(
 ) -> CoeffVector:
     """Expand the exponential at frequency t over the truncated spectrum.
 
-    Coefficient at gamma is the transform evaluated at t - gamma.  With a
-    quarter-integer t every coefficient is certified exact-or-bounded; a
+    Coefficient at gamma is the transform evaluated at the exact difference
+    t - gamma, so every coefficient is certified exact-or-bounded; a
     spectrum point t yields exactly its own delta vector.
     """
     coefficients: dict[Word, float] = {}
     error_bounds: dict[Word, float] = {}
-    for w in enumerate_spectrum(params, max_digits):
-        entry = _coefficient(t, word_value(w, params), params, tol)
-        if entry is None:
-            continue
-        coefficients[w], error_bounds[w] = entry
+    for w, c in _coefficients(t, params, max_digits, 1, tol):
+        if not c.exact_zero:
+            coefficients[w], error_bounds[w] = c.value, c.error_bound
     accounted = sum(c * c for c in coefficients.values())
     padding = 2.0 * sum(
         abs(coefficients[w]) * error_bounds[w] for w in coefficients)
     residual = max(0.0, 1.0 - accounted + padding)
     return CoeffVector(coefficients, error_bounds, residual)
-
-
-def operator_column(
-    word: Word,
-    params: BernoulliParams,
-    max_digits: int,
-    tol: float = DEFAULT_TOL,
-) -> CoeffVector:
-    """Column of the scaled operator at a spectrum word.
-
-    The operator sends the exponential at gamma to the exponential at
-    p*gamma, so the column is the expansion of the latter.
-    """
-    return expand_exponential(
-        scale_value(word, params), params, max_digits, tol)
 
 
 class ParsevalSum(NamedTuple):
@@ -235,10 +224,10 @@ def parseval_table(
     rows = []
     total = 0.0
     err = 0.0
-    for index, w in enumerate(enumerate_spectrum(params, max_digits)):
-        entry = _coefficient(t, scale * word_value(w, params), params, tol)
-        if entry is not None:
-            coeff, coeff_err = entry
+    for index, (_, c) in enumerate(
+            _coefficients(t, params, max_digits, scale, tol)):
+        if not c.exact_zero:
+            coeff, coeff_err = c.value, c.error_bound
             total += coeff * coeff
             err += 2.0 * abs(coeff) * coeff_err + coeff_err * coeff_err
             err += _EPS * abs(total)  # summation rounding

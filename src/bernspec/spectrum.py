@@ -18,8 +18,9 @@ Word = tuple[int, ...]
 TILDE_ONE_POINT = "one-point"
 TILDE_OTHER = "other"
 
-# Most words, or matrix entries, one truncation may hold.  A matrix entry
-# takes about 72 bytes, so the largest matrix allowed (11 digits) is ~300 MB.
+# Most words, matrix entries or verifier word pairs one truncation may hold.
+# A matrix entry takes about 72 bytes, so the largest matrix allowed
+# (11 digits) is ~300 MB.
 ITEM_BUDGET = 1 << 22
 
 
@@ -31,16 +32,9 @@ def check_budget(count: int, items: str, max_digits: int) -> None:
             f"budget of {ITEM_BUDGET}")
 
 
-def is_canonical_word(word: Word) -> bool:
-    """A digit word is canonical when empty or ending in a nonzero bit."""
-    if any(bit not in (0, 1) for bit in word):
-        return False
-    return not word or word[-1] == 1
-
-
 def check_word(word: Word) -> None:
-    """Raise ValueError unless the word is canonical."""
-    if not is_canonical_word(word):
+    """Raise ValueError unless the word is canonical: 0/1 bits, empty or ending in 1."""
+    if any(bit not in (0, 1) for bit in word) or (word and word[-1] != 1):
         raise ValueError(f"not a canonical digit word: {word!r}")
 
 
@@ -55,23 +49,6 @@ def word_value(word: Word, params: BernoulliParams) -> QuarterInt:
             numer += power
         power *= base
     return QuarterInt(numer)
-
-
-def word_from_value(t: QuarterInt, params: BernoulliParams) -> Word | None:
-    """Invert word_value; None when t is not a spectrum point."""
-    base = params.base
-    if t.numerator == 0:
-        return ()
-    if t.numerator < 0 or t.numerator % base != 0:
-        return None
-    rest = t.numerator // base
-    bits = []
-    while rest:
-        rest, bit = divmod(rest, base)
-        if bit > 1:
-            return None
-        bits.append(bit)
-    return tuple(bits)
 
 
 def word_to_bits(word: Word) -> str:
@@ -110,6 +87,21 @@ def enumerate_spectrum(
         # a stable sort on the trailing-zero count, which is -1 for m = 0
         indices.sort(key=lambda m: (m & -m).bit_length() - 1)
     return [tuple((m >> i) & 1 for i in range(m.bit_length())) for m in indices]
+
+
+def point_numerators(params: BernoulliParams, max_digits: int) -> list[int]:
+    """4 * word_value of every word of enumerate_spectrum(params, max_digits).
+
+    In value order, word m + 2^k (m < 2^k) is word m plus the digit
+    (n/2)(2n)^k, so the list doubles once per digit and visits no word.
+    """
+    check_budget(2**max_digits, "words", max_digits)
+    numerators = [0]
+    power = params.base
+    for _ in range(max_digits):
+        numerators += [numer + power for numer in numerators]
+        power *= params.base
+    return numerators
 
 
 def stratum_index(word: Word) -> int | None:

@@ -151,6 +151,19 @@ class TestMatrix:
 
 
 class TestVerify:
+    @pytest.mark.parametrize("suite", [
+        "block-diagonal", "block-equality", "commute-even", "commute-odd",
+        "multiplication", "w0-sparsity",
+    ])
+    def test_oversized_request_rejected(self, suite, monkeypatch, capsys):
+        # rejected on the projected pair count, before any word is listed
+        monkeypatch.setattr(matrixlab, "enumerate_spectrum", None)
+        assert main(["verify", suite, "--max-digits", "12"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert ("max_digits 12 needs 16777216 word pairs, over the size "
+                "budget of 4194304") in captured.err
+
     @pytest.mark.parametrize("argv", [
         ["verify", "cuntz", "--n", "2", "--max-digits", "6"],
         ["verify", "cuntz", "--n", "3", "--max-digits", "5"],
@@ -247,6 +260,21 @@ class TestVerify:
             "entry (0, 1) expected zero"]
 
 
+class TestTolerance:
+    @pytest.mark.parametrize("tol", ["inf", "nan"])
+    @pytest.mark.parametrize("command", [
+        ["muhat", "--t", "0.3"],
+        ["matrix", "--p", "5", "--max-digits", "2"],
+        ["parseval", "--t", "0.3", "--max-digits", "2"],
+        ["chaos", "--t", "0.3", "--samples", "10"],
+    ], ids=["muhat", "matrix", "parseval", "chaos"])
+    def test_non_finite_tol_rejected(self, command, tol, capsys):
+        assert main([*command, "--tol", tol]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"tol must be finite and positive, got {tol}" in captured.err
+
+
 class TestParseval:
     def test_monotone_table(self, capsys):
         assert main(["parseval", "--n", "2", "--t", "0.3",
@@ -262,6 +290,18 @@ class TestParseval:
         assert main(["parseval", "--n", "2", "--t", "0.3",
                      "--base", "scaled", "--max-digits", "3"]) == 2
         assert "--p" in capsys.readouterr().err
+
+    def test_decimal_and_integer_spelling_agree(self, capsys):
+        # 1.2345e20 is the integer 123450000000000000000 as a float, so both
+        # spellings name one exact point and print one table
+        outputs = []
+        for t in ("1.2345e20", "123450000000000000000"):
+            assert main(["parseval", "--n", "3", "--t", t,
+                         "--max-digits", "3"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        bounds = [float(line.split()[2]) for line in outputs[0].splitlines()[1:]]
+        assert len(bounds) == 4 and max(bounds) <= 1e-12
 
     def test_scaled_json(self, capsys):
         assert main(["parseval", "--n", "2", "--t", "1/2", "--base", "scaled",

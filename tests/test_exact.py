@@ -320,6 +320,11 @@ class TestMuHat:
         with pytest.raises(ValueError):
             mu_hat(QuarterInt(1), N2, tol=0.0)
 
+    @pytest.mark.parametrize("tol", [-1e-12, math.inf, -math.inf, math.nan])
+    def test_rejects_negative_or_non_finite_tol(self, tol):
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            mu_hat(0.3, N2, tol=tol)
+
     def test_float_argument_sizes_its_product(self):
         # a fixed 64-term product leaves a bound above the value here
         res = mu_hat(3.3e38, N2)

@@ -4,12 +4,11 @@ import math
 
 import pytest
 
-from bernspec.exact import BernoulliParams, QuarterInt, reduce_argument
+from bernspec.exact import BernoulliParams, QuarterInt, mu_hat, reduce_argument
 from bernspec.matrixlab import (
     TruncatedMatrix,
     analyze_w0_sparsity,
     scale_minus,
-    u_entry,
     verify_block_diagonal,
     verify_block_equality,
     verify_commutation_even,
@@ -23,24 +22,27 @@ N2P5 = BernoulliParams(2, 5)
 N3P3 = BernoulliParams(3, 3)
 
 
+def u_entry(row, col, params):
+    """The scalar reference for one matrix entry: mu_hat at p*col - row."""
+    return mu_hat(scale_minus(row, col, params), params)
+
+
 class TestEntries:
     def test_diagonal_below_zero_point_is_exact_zero(self):
         # 5*1 - 1 = 4 lies in the zero set
-        entry = u_entry((1,), (1,), N2P5)
-        assert entry.value.exact_zero
+        assert u_entry((1,), (1,), N2P5).exact_zero
 
     def test_zero_point_diagonal_is_one(self):
         entry = u_entry((), (), N2P5)
-        assert entry.value.value == 1.0
-        assert entry.value.error_bound == 0.0
+        assert entry.value == 1.0
+        assert entry.error_bound == 0.0
 
     def test_known_nonzero_entry(self):
         # 5*5 - 1 = 24
         entry = u_entry((1,), (1, 1), N2P5)
-        assert not entry.value.exact_zero
-        assert entry.value.sign == 1
-        assert math.isclose(
-            entry.value.value, 0.5811539214293868, abs_tol=1e-12)
+        assert not entry.exact_zero
+        assert entry.sign == 1
+        assert math.isclose(entry.value, 0.5811539214293868, abs_tol=1e-12)
 
     def test_scale_minus_matches_values(self):
         arg = scale_minus((1,), (1, 1), N2P5)
@@ -48,7 +50,7 @@ class TestEntries:
 
     def test_requires_scaling_factor(self):
         with pytest.raises(ValueError):
-            u_entry((), (), BernoulliParams(2))
+            scale_minus((), (), BernoulliParams(2))
 
 
 class TestTruncatedMatrix:
@@ -64,7 +66,7 @@ class TestTruncatedMatrix:
         m = TruncatedMatrix.build(params, 4, order=order)
         for row, entries in zip(m.words, m.entries):
             for col, entry in zip(m.words, entries):
-                assert entry == u_entry(row, col, params).value
+                assert entry == u_entry(row, col, params)
 
     def test_strata_order_blocks_in_mask(self):
         from bernspec.spectrum import stratum_index

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -12,7 +13,6 @@ from bernspec import operators
 from bernspec.exact import BernoulliParams, QuarterInt, in_zero_set, mu_hat
 from bernspec.operators import (
     expand_exponential,
-    operator_column,
     parseval_partial,
     parseval_table,
     prepend_one,
@@ -23,6 +23,7 @@ from bernspec.operators import (
 )
 from bernspec.spectrum import (
     enumerate_spectrum,
+    scale_value,
     stratum_index,
     word_value,
 )
@@ -90,6 +91,11 @@ class TestIsometries:
         monkeypatch.setattr(operators, name, broken)
         for n in (2, 3, 4):
             assert not verify_cuntz_relations(BernoulliParams(n), 4).passed
+
+
+def operator_column(word, params, max_digits):
+    """Column of the scaled operator at a word: the expansion at p*gamma."""
+    return expand_exponential(scale_value(word, params), params, max_digits)
 
 
 class TestOperatorColumn:
@@ -187,8 +193,9 @@ class TestParseval:
         table = parseval_table(t, P25, 8, basis)
         scale = 5 if basis == "scaled" else 1
         points = [scale * word_value(w, P25) for w in enumerate_spectrum(P25, 8)]
-        squares = [mu_hat(t - (p if isinstance(t, QuarterInt) else float(p)),
-                          P25).value ** 2 for p in points]
+        exact_t = Fraction(t.numerator, 4) if isinstance(t, QuarterInt) else Fraction(t)
+        squares = [mu_hat(exact_t - Fraction(p.numerator, 4), P25).value ** 2
+                   for p in points]
         assert len(table) == 9
         for d, row in enumerate(table):
             assert row == parseval_partial(t, P25, d, basis)

@@ -3,11 +3,13 @@
 `bench/oracle.py` does not import bernspec: it tests zero-set membership
 straight from its definition and builds the transform with `decimal` and
 `fractions`, reducing each cosine argument exactly.  It is loaded here by
-path and read only.
+path and read only.  Checked are `mu_hat` itself, and the expansion
+coefficients and Parseval rows built from it at decimal frequencies.
 """
 
 from __future__ import annotations
 
+import functools
 import importlib.util
 import random
 from fractions import Fraction
@@ -16,13 +18,22 @@ from pathlib import Path
 import pytest
 
 from bernspec.exact import DEFAULT_TOL, BernoulliParams, QuarterInt, mu_hat
+from bernspec.operators import expand_exponential, parseval_table
+from bernspec.spectrum import enumerate_spectrum, word_value
 
 _ORACLE_PATH = Path(__file__).resolve().parents[1] / "bench" / "oracle.py"
 _spec = importlib.util.spec_from_file_location("bernspec_bench_oracle", _ORACLE_PATH)
 oracle = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(oracle)
+# expansions and spectrum-basis Parseval rows share their arguments
+transform = functools.lru_cache(maxsize=None)(oracle.transform)
 
 NS = (2, 3, 4, 5, 7)
+# decimal frequencies for expansions and Parseval tables; 12345.5 and
+# 1.2345e20 are quarter-integers, the others are not
+DECIMALS = (0.3, -41.7, 123.456789, 12345.5, 1.2345e20)
+SCALED_P = {2: 5, 3: 5, 4: 3}
+DIGITS = 6
 
 
 def quarter_points(n: int) -> list[QuarterInt]:
@@ -58,30 +69,37 @@ def exact_value(t: QuarterInt | float) -> Fraction:
     return Fraction(t)
 
 
+def value_problem(label: str, x: Fraction, n: int, exact_zero: bool,
+                  value: float, bound: float) -> str | None:
+    """Why a value of the transform at x, within bound, is wrong, or None.
+
+    An exact zero must be a zero-set member and every other value must hold
+    the oracle's within its bound, which may not exceed the default tol.
+    """
+    quarter = 4 * x
+    expected_zero = (quarter.denominator == 1
+                     and oracle.in_zero_set(int(quarter), n))
+    if exact_zero != expected_zero:
+        return f"{label}: exact_zero={exact_zero}, zero set says {expected_zero}"
+    if exact_zero:
+        return None
+    if bound > DEFAULT_TOL:
+        return f"{label}: error_bound {bound!r} above the default tol"
+    problem = oracle.certified_problem(
+        -1 if value < 0.0 else 1, abs(value), bound, transform(x, n))
+    return f"{label}: {problem}" if problem else None
+
+
 def problems_for(n: int, points) -> list[str]:
     params = BernoulliParams(n)
     problems = []
     for t in points:
-        x = exact_value(t)
         result = mu_hat(t, params)
-        quarter = 4 * x
-        expected_zero = (quarter.denominator == 1
-                         and oracle.in_zero_set(int(quarter), n))
-        label = f"n={n} t={t}"
-        if result.exact_zero != expected_zero:
-            problems.append(f"{label}: exact_zero={result.exact_zero}, "
-                            f"zero set says {expected_zero}")
-            continue
-        if result.exact_zero:
-            continue
-        if result.error_bound > DEFAULT_TOL:
-            problems.append(f"{label}: error_bound {result.error_bound!r} "
-                            f"above the default tol")
-        problem = oracle.certified_problem(
-            result.sign, result.magnitude, result.error_bound,
-            oracle.transform(x, n))
+        problem = value_problem(f"n={n} t={t}", exact_value(t), n,
+                                result.exact_zero, result.value,
+                                result.error_bound)
         if problem:
-            problems.append(f"{label}: {problem}")
+            problems.append(problem)
     return problems
 
 
@@ -94,3 +112,45 @@ def test_quarter_integers_within_bounds(n):
 def test_floats_within_bounds(n):
     assert problems_for(n, float_points(n)) == []
 
+
+@pytest.mark.parametrize("n", (2, 3, 4))
+@pytest.mark.parametrize("t", DECIMALS)
+def test_expansion_at_decimal_t(t, n):
+    # every coefficient, stored or exactly zero, at the exact t - gamma
+    params = BernoulliParams(n)
+    vector = expand_exponential(t, params, DIGITS)
+    problems = []
+    for w in enumerate_spectrum(params, DIGITS):
+        value, bound = vector.get(w)
+        problem = value_problem(
+            f"n={n} t={t} word={w}",
+            Fraction(t) - exact_value(word_value(w, params)), n,
+            w not in vector.coefficients, value, bound)
+        if problem:
+            problems.append(problem)
+    assert problems == []
+
+
+@pytest.mark.parametrize("n", (2, 3, 4))
+@pytest.mark.parametrize("t", DECIMALS)
+@pytest.mark.parametrize("basis", ["spectrum", "scaled"])
+def test_parseval_rows_at_decimal_t(basis, t, n):
+    # row d holds the sum of the oracle's squares over the first 2^d points
+    params = BernoulliParams(n, SCALED_P[n])
+    scale = SCALED_P[n] if basis == "scaled" else 1
+    table = parseval_table(t, params, DIGITS, basis)
+    squares = [
+        oracle.square(transform(
+            Fraction(t) - exact_value(scale * word_value(w, params)), n))
+        for w in enumerate_spectrum(params, DIGITS)]
+    problems = []
+    for d, row in enumerate(table):
+        label = f"n={n} t={t} {basis} row {d}"
+        if row.error_bound > DEFAULT_TOL:
+            problems.append(f"{label}: error_bound {row.error_bound!r} "
+                            f"above the default tol")
+        problem = oracle.certified_problem(
+            1, row.value, row.error_bound, sum(squares[:2**d]))
+        if problem:
+            problems.append(f"{label}: {problem}")
+    assert problems == []

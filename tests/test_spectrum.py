@@ -12,13 +12,13 @@ from bernspec.spectrum import (
     TILDE_ONE_POINT,
     TILDE_OTHER,
     check_budget,
+    check_word,
     enumerate_spectrum,
-    is_canonical_word,
     parse_word,
+    point_numerators,
     scale_value,
     stratum_index,
     tilde_stratum_index,
-    word_from_value,
     word_to_bits,
     word_value,
 )
@@ -55,27 +55,15 @@ class TestWordValue:
         assert word_value(word, params).numerator == expected
 
 
-class TestWordFromValue:
-    def test_examples(self):
-        assert word_from_value(QuarterInt.from_int(5), N2) == (1, 1)
-        assert word_from_value(QuarterInt.from_int(2), N2) is None
-        assert word_from_value(QuarterInt(0), N2) == ()
-        assert word_from_value(QuarterInt.from_int(-1), N2) is None
-        assert word_from_value(QuarterInt.from_int(25), N2) is None
+class TestCheckWord:
+    @pytest.mark.parametrize("word", [(), (1,), (0, 1), (1, 0, 1)])
+    def test_accepts_canonical(self, word):
+        check_word(word)
 
-    @given(canonical_words(), st.sampled_from([N2, N3, N4]))
-    def test_round_trip(self, word, params):
-        assert word_from_value(word_value(word, params), params) == word
-
-    def test_non_members_small_range(self):
-        values = {
-            word_value(w, N2).numerator
-            for w in enumerate_spectrum(N2, 6)
-        }
-        for numer in range(0, 4 ** 6, 4):
-            expected = numer in values
-            got = word_from_value(QuarterInt(numer), N2) is not None
-            assert got == expected, f"membership wrong at {numer // 4}"
+    @pytest.mark.parametrize("word", [(0,), (1, 0), (2,), (1, 2, 1), (-1, 1)])
+    def test_rejects_trailing_zero_or_bad_bit(self, word):
+        with pytest.raises(ValueError, match="not a canonical digit word"):
+            check_word(word)
 
 
 class TestSerialization:
@@ -125,6 +113,14 @@ class TestEnumerate:
             assert words == sorted(words, key=lambda w: word_value(w, params))
             assert deeper[:len(words)] == words
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_point_numerators_are_word_values(self, n):
+        params = BernoulliParams(n)
+        for d in range(0, 8):
+            assert point_numerators(params, d) == [
+                word_value(w, params).numerator
+                for w in enumerate_spectrum(params, d)]
+
     @pytest.mark.parametrize("params", [N2, N3, N4])
     def test_strata_order_sorts_by_stratum_then_value(self, params):
         for d in range(0, 8):
@@ -146,6 +142,8 @@ class TestEnumerate:
                     f"max_digits {d} needs {2**d} words, "
                     f"over the size budget of {ITEM_BUDGET}")):
                 enumerate_spectrum(N2, d)
+            with pytest.raises(ValueError, match="over the size budget"):
+                point_numerators(N2, d)
 
     @pytest.mark.parametrize("params", [N2, N3, N4])
     def test_self_similarity(self, params):
