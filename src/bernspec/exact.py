@@ -10,7 +10,9 @@ are decided on quarter-integers in plain integer arithmetic; floats enter
 only through cosine factors that carry a certified absolute error bound.
 Every argument, a quarter-integer, a fraction or a float, is evaluated
 through its exact ratio numerator/denominator, so one factor walk serves
-them all.
+them all.  mu_hat_differences takes the transform at t - scale * gamma over
+a whole spectrum truncation along the digit tree of the Cuntz isometries:
+one cosine per tree node, and one walk per point for the factors below it.
 """
 
 from __future__ import annotations
@@ -35,6 +37,12 @@ _RATIO_FACTOR_ERR = math.pi * 2.0 ** -52 + _COSPI_SLOP
 
 # Default target for the truncation part of a certified transform value.
 DEFAULT_TOL = 1e-12
+
+# Most items one request may hold: spectrum words, matrix entries, verifier
+# word pairs, chaos samples or product factors.  A matrix entry takes about
+# 72 bytes, so the largest matrix allowed (11 digits) is ~300 MB; a chaos
+# run at the budget holds two arrays of 32 MB.
+ITEM_BUDGET = 1 << 22
 
 
 @dataclass(frozen=True, slots=True, order=True)
@@ -224,19 +232,6 @@ def _ratio(t: QuarterInt | Fraction | float) -> tuple[int, int]:
     return x.as_integer_ratio()
 
 
-def exact_value(t: QuarterInt | Fraction | float) -> QuarterInt | Fraction:
-    """The exact number t holds: a QuarterInt when 4t is an integer, else a Fraction.
-
-    A finite float is the dyadic rational numer / 2^e it stores, so off the
-    quarter grid its Fraction has a power-of-two denominator >= 8.  A float
-    that is not finite raises ValueError.
-    """
-    numer, denom = _ratio(t)
-    if 4 % denom == 0:
-        return QuarterInt(numer * (4 // denom))
-    return Fraction(numer, denom)
-
-
 def _log_tail(numer: int, denom: int, base: int) -> float:
     # log of sum_{k >= 1} (2 pi x)^2 / (2 base^(2k)) = 2 pi^2 x^2 / (base^2 - 1)
     # for x = numer/denom != 0; the sum past `terms` factors is this times
@@ -252,7 +247,7 @@ def _log_tail(numer: int, denom: int, base: int) -> float:
 
 def _cospi_reduced(r: float) -> float:
     # cos(pi*r) for r in [0, 2] off the grid {0, 1/2, 1, 3/2}, which
-    # _factors decides in integers.  Shifted branches keep the libm
+    # _cospi_ratio decides in integers.  Shifted branches keep the libm
     # argument small near the zeros of cos, and every shift below is exact
     # (Sterbenz or shared binade).
     if r <= 0.25:
@@ -266,42 +261,30 @@ def _cospi_reduced(r: float) -> float:
     return math.cos(math.pi * (r - 2.0))
 
 
-def _factors(numer: int, denom: int, base: int,
-             terms: int) -> Iterator[tuple[float, float]]:
-    # Factor k is cos(pi r_k) with r_k = s_k mod 2, s_k = 2|x| / base^k and
-    # x = numer/denom; each comes with an absolute error bound.  r_k is
-    # reduced exactly as an integer ratio, so grid values (0, +-1 and the
-    # zeros) are decided on integers and only one rounded division reaches
-    # the cosine.  Once s_k < 1 is off the grid, no later s_j = s_k /
-    # base^(j-k) wraps or lands on the grid (they lie in (0, 1/2)), so the
-    # walk goes on in floats from half an ulp of argument error: division
-    # is exact when 2n is a power of two, else costs half an ulp per step.
-    twice = 2 * abs(numer)
-    den = denom
-    for k in range(terms):
-        den *= base
-        num = twice % (2 * den)
-        if num == 0:
-            yield 1.0, 0.0
-        elif 2 * num == den or 2 * num == 3 * den:
-            yield 0.0, 0.0
-        elif num == den:
-            yield -1.0, 0.0
-        elif twice < den:
-            break
-        else:
-            yield _cospi_reduced(num / den), _RATIO_FACTOR_ERR
-    else:
-        return
-    exact_division = base & (base - 1) == 0
-    y = twice / den
-    y_err = 0.5 * _EPS * y
-    for _ in range(k, terms):
-        yield _cospi_reduced(y), math.pi * y_err + _COSPI_SLOP
-        y /= base
-        y_err /= base
-        if not exact_division:
-            y_err += 0.5 * _EPS * y
+def _cospi_ratio(num: int, den: int) -> tuple[float, float] | None:
+    # cos(pi num/den) for 0 <= num < 2 den with its absolute error bound,
+    # None at an exact zero.  The grid values 0, +-1 and the zeros are
+    # decided on the integers; any other ratio costs one rounded division
+    # and the cosine, whose value may round to 0.0 without being a zero.
+    if num == 0:
+        return 1.0, 0.0
+    if 2 * num == den or 2 * num == 3 * den:
+        return None
+    if num == den:
+        return -1.0, 0.0
+    return _cospi_reduced(num / den), _RATIO_FACTOR_ERR
+
+
+def _times(prod: float, err: float, value: float,
+           value_err: float) -> tuple[float, float]:
+    # (prod +- err) * (value +- value_err) with |true value| <= 1, and the
+    # bound of the rounded product: |fl(p~ f~) - p f| <= eps/2 |p~ f~| +
+    # |p~| ef + |f| * (p-error).  An exact +-1 multiplies exactly.
+    if value_err == 0.0 and (value == 1.0 or value == -1.0):
+        return prod * value, err
+    new_prod = prod * value
+    return new_prod, (0.5 * _EPS * abs(new_prod) + abs(prod) * value_err
+                      + err * min(1.0, abs(value) + value_err))
 
 
 def _tail_bound(log_tail: float, base: int, terms: int) -> float:
@@ -315,6 +298,59 @@ def _tail_bound(log_tail: float, base: int, terms: int) -> float:
     return min(2.0, math.exp(log_s) * (1.0 + 1e-9))
 
 
+def _product(numer: int, denom: int, base: int, terms: int,
+             log_tail: float) -> tuple[float, float] | None:
+    # The certified walk: prod_{k=1..terms} cos(2 pi x / base^k) at
+    # x = numer/denom != 0 and a bound that covers the rounding AND the
+    # dropped tail; None when a factor is exactly zero.  log_tail is
+    # _log_tail(numer, denom, base).
+    #
+    # Factor k is cos(pi r_k) with r_k = s_k mod 2 and s_k = 2|x| / base^k.
+    # While s_k >= 1, r_k is reduced exactly as an integer ratio, so grid
+    # values (0, +-1 and the zeros) are decided on integers and only one
+    # rounded division reaches the cosine.  Once s_k < 1 is off the grid, no
+    # later s_j = s_k / base^(j-k) wraps or lands on the grid (they lie in
+    # (0, 1/2)), so the walk goes on in floats from half an ulp of argument
+    # error: division is exact when 2n is a power of two, else costs half
+    # an ulp per step.  |mu_hat| <= 1, so 1 + |prod| is always honest; it
+    # caps the bound of a product too short for its argument.
+    prod = 1.0
+    err = 0.0
+    twice = 2 * abs(numer)
+    den = denom
+    k = 0
+    while k < terms:
+        den *= base
+        if twice < den and 2 * twice != den:
+            break
+        factor = _cospi_ratio(twice % (2 * den), den)
+        if factor is None:
+            return None
+        prod, err = _times(prod, err, *factor)
+        k += 1
+    if k < terms:
+        cos, pi = math.cos, math.pi
+        exact_division = base & (base - 1) == 0
+        y = twice / den
+        y_err = 0.5 * _EPS * y
+        for _ in range(k, terms):
+            # _times and the first branch of _cospi_reduced, inlined: this
+            # loop is the hot path, and y < 1/4 from its second factor on
+            value = cos(pi * y) if y <= 0.25 else _cospi_reduced(y)
+            factor_err = pi * y_err + _COSPI_SLOP
+            new_prod = prod * value
+            growth = abs(value) + factor_err
+            err = (0.5 * _EPS * abs(new_prod) + abs(prod) * factor_err
+                   + err * (growth if growth < 1.0 else 1.0))
+            prod = new_prod
+            y /= base
+            y_err /= base
+            if not exact_division:
+                y_err += 0.5 * _EPS * y
+    bound = err + (abs(prod) + err) * _tail_bound(log_tail, base, terms)
+    return prod, min(bound, 1.0 + abs(prod))
+
+
 def mu_hat_product(
     t: QuarterInt | Fraction | float, params: BernoulliParams, terms: int
 ) -> MuHatValue:
@@ -325,48 +361,34 @@ def mu_hat_product(
     so the infinite product lies within error_bound of sign * magnitude.
     Every argument is walked as its exact ratio (a quarter-integer as
     numerator/4, a fraction or a float as its integer ratio): a zero factor
-    is then recognized exactly and short-circuits to an exact zero.
+    is then recognized exactly and short-circuits to an exact zero.  terms
+    must lie in 1..ITEM_BUDGET.
     """
     if terms < 1:
         raise ValueError("terms must be >= 1")
+    if terms > ITEM_BUDGET:
+        raise ValueError(
+            f"terms {terms} is over the size budget of {ITEM_BUDGET}")
     numer, denom = _ratio(t)
     if numer == 0:
         return MuHatValue(False, 1, 1.0, 0.0)
-
-    prod = 1.0
-    err = 0.0
-    for value, factor_err in _factors(numer, denom, params.base, terms):
-        if factor_err == 0.0:
-            if value == 0.0:
-                return MuHatValue.zero()
-            if value == 1.0:
-                continue
-            if value == -1.0:
-                # sign flip is exact; error carries over unchanged
-                prod = -prod
-                continue
-        new_prod = prod * value
-        # |fl(p~ f~) - p f| <= eps/2 |p~ f~| + |p~| ef + |f| * (p-error)
-        err = (
-            0.5 * _EPS * abs(new_prod)
-            + abs(prod) * factor_err
-            + err * min(1.0, abs(value) + factor_err)
-        )
-        prod = new_prod
-
-    bound = err + (abs(prod) + err) * _tail_bound(
-        _log_tail(numer, denom, params.base), params.base, terms)
-    # |mu_hat| <= 1, so 1 + |prod| is always honest; it caps the bound of a
-    # product too short for its argument
-    bound = min(bound, 1.0 + abs(prod))
-    sign = -1 if prod < 0.0 else 1
-    return MuHatValue(False, sign, abs(prod), bound)
+    result = _product(numer, denom, params.base, terms,
+                      _log_tail(numer, denom, params.base))
+    if result is None:
+        return MuHatValue.zero()
+    prod, bound = result
+    return MuHatValue(False, -1 if prod < 0.0 else 1, abs(prod), bound)
 
 
 def _terms_for(log_tail: float, base: int, tol: float) -> int:
     # smallest truncation depth putting the geometric tail under tol/2
     k = (log_tail - math.log(tol / 2.0)) / (2.0 * math.log(float(base)))
     return max(4, math.ceil(k) + 2)
+
+
+def _check_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
 
 
 def mu_hat(t: QuarterInt | Fraction | float, params: BernoulliParams,
@@ -382,8 +404,7 @@ def mu_hat(t: QuarterInt | Fraction | float, params: BernoulliParams,
     error_bound is the honest total (truncation plus rounding), so it can
     exceed an extremely small tol; it is never understated.
     """
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+    _check_tol(tol)
     numer, denom = _ratio(t)
     sign = 1
     if 4 % denom == 0:
@@ -400,6 +421,103 @@ def mu_hat(t: QuarterInt | Fraction | float, params: BernoulliParams,
     if result.exact_zero:
         return result
     return MuHatValue(False, sign * result.sign, result.magnitude, result.error_bound)
+
+
+def _tail(numer: int, denom: int, base: int,
+          tol: float) -> tuple[float, float] | None:
+    # mu_hat at numer/denom without its integer reduction or its tracing:
+    # the walk sized for tol and retried at twice the length when its bound
+    # misses tol.  It is sized for min(tol, 1), which costs nothing a tol
+    # above 1 could ask for and keeps every zero factor inside the walk (a
+    # zero at factor j needs |x| >= base^j / 4).
+    if numer == 0:
+        return 1.0, 0.0
+    log_tail = _log_tail(numer, denom, base)
+    terms = _terms_for(log_tail, base, min(tol, 1.0))
+    result = _product(numer, denom, base, terms, log_tail)
+    if result is not None and result[1] > tol:
+        result = _product(numer, denom, base, 2 * terms, log_tail)
+    return result
+
+
+def mu_hat_differences(
+    t: QuarterInt | Fraction | float,
+    params: BernoulliParams,
+    points: list[int],
+    scale: int = 1,
+    tol: float = DEFAULT_TOL,
+) -> Iterator[MuHatValue]:
+    """The transform at t - scale * gamma for every point of a truncation.
+
+    points holds 4 * gamma for the 2^d spectrum words m = 0, 1, ... in
+    counting order (spectrum.point_numerators).  The walk follows the digit
+    tree of the Cuntz isometries, gamma = b_0 n/2 + 2n gamma': with
+    gamma_<k the point of the low k digits of m, factor k of the transform
+    at t - scale * gamma is
+
+        (-1)^(scale n b_k) cos(2 pi (t - scale gamma_<k) / (2n)^k).
+
+    So node (k, r), r < 2^k, needs one cosine, decided on its exact ratio
+    like every factor of mu_hat, and it serves every word whose low k
+    digits are r.  Word m of length L is the product of its nodes
+    (k, m mod 2^k), k = 1..L, times the sign of its digits b_1..b_(L-1) and
+    the tail mu_hat((t - scale gamma_m) / (2n)^L), which holds the factors
+    k > L.  The tail sits at the word's own length, so a value does not
+    depend on d.  Values come out in counting order, one tree level at a
+    time, each within its certified error_bound; a zero factor, at a node
+    or in a tail, gives an exact zero.
+    """
+    _check_tol(tol)
+    depth = len(points).bit_length() - 1
+    if depth < 0 or len(points) != 1 << depth:
+        raise ValueError(f"points must hold 2^d numerators, got {len(points)}")
+    numer, denom = _ratio(t)
+    # over a denominator divisible by 4, scale * gamma = scale * point / 4
+    # is an integer multiple of 1 / denom
+    lift = 4 // math.gcd(denom, 4)
+    numer, denom = numer * lift, denom * lift
+    step = scale * (denom // 4)
+    base = params.base
+    odd = scale * params.n % 2 == 1
+
+    def child(parent: tuple[float, float] | None, r: int,
+              den: int) -> tuple[float, float] | None:
+        # node (k, r) from its parent (k - 1, r mod 2^(k-1)); den is
+        # denom (2n)^k, and None marks an exact zero
+        if parent is None:
+            return None
+        factor = _cospi_ratio(
+            2 * abs(numer - step * points[r]) % (2 * den), den)
+        return None if factor is None else _times(*parent, *factor)
+
+    def word(m: int, node: tuple[float, float] | None, den: int) -> MuHatValue:
+        tail = None if node is None else _tail(
+            numer - step * points[m], den, base, tol)
+        if tail is None:
+            return MuHatValue.zero()
+        prod, err = _times(*node, *tail)
+        if odd and (m >> 1).bit_count() % 2 == 1:
+            prod = -prod
+        return MuHatValue(False, -1 if prod < 0.0 else 1, abs(prod),
+                          min(err, 1.0 + abs(prod)))
+
+    nodes: list[tuple[float, float] | None] = [(1.0, 0.0)]
+    yield word(0, nodes[0], denom)
+    den = denom
+    for length in range(1, depth + 1):
+        den *= base
+        half = len(nodes)
+        deeper = length < depth
+        # the words of this length are the upper half of the level
+        for r in range(half):
+            node = child(nodes[r], half + r, den)
+            yield word(half + r, node, den)
+            if deeper:
+                nodes.append(node)
+        # the lower half only serves longer words; it replaces its parents
+        if deeper:
+            for r in range(half):
+                nodes[r] = child(nodes[r], r, den)
 
 
 class ChaosEstimate(NamedTuple):
@@ -421,10 +539,14 @@ def chaos_game_estimate(
     biases the mean by far less than the Monte-Carlo standard error.
     Returns (estimate, std_error) with the sample standard error of the
     mean; a single sample reports an infinite std_error.  The phase
-    frequency 2 pi t must be a finite float.
+    frequency 2 pi t must be a finite float, and samples must lie in
+    1..ITEM_BUDGET.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    if samples > ITEM_BUDGET:
+        raise ValueError(
+            f"samples {samples} is over the size budget of {ITEM_BUDGET}")
     try:
         omega = 2.0 * math.pi * float(t)
     except OverflowError:

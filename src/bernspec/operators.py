@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator, NamedTuple
 
 from bernspec.exact import (
@@ -22,8 +21,7 @@ from bernspec.exact import (
     BernoulliParams,
     MuHatValue,
     QuarterInt,
-    exact_value,
-    mu_hat,
+    mu_hat_differences,
 )
 from bernspec.report import CheckReport
 from bernspec.spectrum import (
@@ -157,22 +155,11 @@ def _coefficients(
     max_digits: int,
     scale: int,
     tol: float,
-) -> Iterator[tuple[Word, MuHatValue]]:
-    # (word, transform at t - scale * gamma) over the truncation in counting
-    # order.  t is lifted to its exact value once: a quarter-integer
-    # subtracts as a QuarterInt, and any other float is numer / 2^e with
-    # e >= 3, so each argument is one integer multiply-subtract over 2^e.
-    t = exact_value(t)
-    words = enumerate_spectrum(params, max_digits)
-    points = point_numerators(params, max_digits)
-    if isinstance(t, QuarterInt):
-        arguments = (QuarterInt(t.numerator - scale * point) for point in points)
-    else:
-        numer, denom = t.numerator, t.denominator
-        step = scale * (denom // 4)
-        arguments = (Fraction(numer - point * step, denom) for point in points)
-    for w, argument in zip(words, arguments):
-        yield w, mu_hat(argument, params, tol)
+) -> Iterator[MuHatValue]:
+    # the transform at t - scale * gamma over the truncation in counting
+    # order, from one walk of the digit tree
+    return mu_hat_differences(
+        t, params, point_numerators(params, max_digits), scale, tol)
 
 
 def expand_exponential(
@@ -189,7 +176,8 @@ def expand_exponential(
     """
     coefficients: dict[Word, float] = {}
     error_bounds: dict[Word, float] = {}
-    for w, c in _coefficients(t, params, max_digits, 1, tol):
+    for w, c in zip(enumerate_spectrum(params, max_digits),
+                    _coefficients(t, params, max_digits, 1, tol)):
         if not c.exact_zero:
             coefficients[w], error_bounds[w] = c.value, c.error_bound
     accounted = sum(c * c for c in coefficients.values())
@@ -224,7 +212,7 @@ def parseval_table(
     rows = []
     total = 0.0
     err = 0.0
-    for index, (_, c) in enumerate(
+    for index, c in enumerate(
             _coefficients(t, params, max_digits, scale, tol)):
         if not c.exact_zero:
             coeff, coeff_err = c.value, c.error_bound

@@ -10,18 +10,13 @@ between the first two 1-bits.
 
 from __future__ import annotations
 
-from bernspec.exact import BernoulliParams, QuarterInt
+from bernspec.exact import ITEM_BUDGET, BernoulliParams, QuarterInt
 
 Word = tuple[int, ...]
 
 # classification labels for the finer split of stratum 0 (defined for n = 2)
 TILDE_ONE_POINT = "one-point"
 TILDE_OTHER = "other"
-
-# Most words, matrix entries or verifier word pairs one truncation may hold.
-# A matrix entry takes about 72 bytes, so the largest matrix allowed
-# (11 digits) is ~300 MB.
-ITEM_BUDGET = 1 << 22
 
 
 def check_budget(count: int, items: str, max_digits: int) -> None:
@@ -95,6 +90,8 @@ def point_numerators(params: BernoulliParams, max_digits: int) -> list[int]:
     In value order, word m + 2^k (m < 2^k) is word m plus the digit
     (n/2)(2n)^k, so the list doubles once per digit and visits no word.
     """
+    if max_digits < 0:
+        raise ValueError("max_digits must be >= 0")
     check_budget(2**max_digits, "words", max_digits)
     numerators = [0]
     power = params.base

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from bernspec import cli, matrixlab
+from bernspec import cli, exact, matrixlab
 from bernspec.cli import main, parse_frequency
 from bernspec.exact import BernoulliParams, QuarterInt
 from bernspec.matrixlab import TruncatedMatrix
@@ -90,6 +90,16 @@ class TestMuhat:
             main([*command, "--p", "5"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --p 5" in capsys.readouterr().err
+
+    def test_oversized_terms_rejected(self, monkeypatch, capsys):
+        # rejected before the walk, which would run for days at this length
+        monkeypatch.setattr(exact, "np", None)
+        monkeypatch.setattr(exact, "_product", None)
+        assert main(["muhat", "--t", "0.3", "--terms", "10000000000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert ("terms 10000000000 is over the size budget of 4194304"
+                in captured.err)
 
 
 class TestSpectrum:
@@ -341,3 +351,12 @@ class TestChaos:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "2 pi t must be a finite float" in captured.err
+
+    def test_oversized_sample_count_rejected(self, monkeypatch, capsys):
+        # rejected before numpy allocates the two 80 GB sample arrays
+        monkeypatch.setattr(exact, "np", None)
+        assert main(["chaos", "--t", "0.3", "--samples", "10000000000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert ("samples 10000000000 is over the size budget of 4194304"
+                in captured.err)

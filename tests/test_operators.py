@@ -6,11 +6,17 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bernspec import operators
-from bernspec.exact import BernoulliParams, QuarterInt, in_zero_set, mu_hat
+from bernspec.exact import (
+    BernoulliParams,
+    QuarterInt,
+    in_zero_set,
+    mu_hat,
+    mu_hat_differences,
+)
 from bernspec.operators import (
     expand_exponential,
     parseval_partial,
@@ -23,6 +29,7 @@ from bernspec.operators import (
 )
 from bernspec.spectrum import (
     enumerate_spectrum,
+    point_numerators,
     scale_value,
     stratum_index,
     word_value,
@@ -96,6 +103,75 @@ class TestIsometries:
 def operator_column(word, params, max_digits):
     """Column of the scaled operator at a word: the expansion at p*gamma."""
     return expand_exponential(scale_value(word, params), params, max_digits)
+
+
+def tree_frequencies(n: int, scale: int, max_digits: int):
+    """Frequencies for the digit-tree walk, exact differences of every kind."""
+    base = 2 * n
+    points = point_numerators(BernoulliParams(n), max_digits)
+    return st.one_of(
+        # quarter-integers, mostly off the zero set
+        st.integers(-40_000, 40_000).map(QuarterInt),
+        # zero-set members (2n)^k (2j + 1) / 4
+        st.builds(lambda k, j: QuarterInt(base**k * (2 * j + 1)),
+                  st.integers(1, 6), st.integers(-50, 50)),
+        # scaled spectrum points: every difference is an exact zero or 0
+        st.integers(0, len(points) - 1).map(
+            lambda m: QuarterInt(scale * points[m])),
+        # decimals, a huge float, and numerators past 2^62
+        st.floats(-2000.0, 2000.0, allow_nan=False),
+        st.just(1.2345e20),
+        st.builds(lambda a, s: QuarterInt(s * a), st.integers(2**62, 2**70),
+                  st.sampled_from((-1, 1))),
+    )
+
+
+def exact_frequency(t: QuarterInt | float) -> Fraction:
+    if isinstance(t, QuarterInt):
+        return Fraction(t.numerator, 4)
+    return Fraction(t)
+
+
+class TestDigitTree:
+    @given(st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_tree_pinned_to_scalar_reference(self, data):
+        n = data.draw(st.integers(1, 6), label="n")
+        scale = data.draw(st.sampled_from((1, 3, 5, 7)), label="scale")
+        depth = data.draw(st.integers(0, 8), label="depth")
+        t = data.draw(tree_frequencies(n, scale, depth), label="t")
+        # a tol past 1 must not cut a tail short of its zero factor
+        tol = data.draw(st.sampled_from((1e-12, 1e-6, 1e3)), label="tol")
+        params = BernoulliParams(n)
+        points = point_numerators(params, depth + 3)
+        deeper = list(mu_hat_differences(t, params, points, scale, tol))
+        values = list(mu_hat_differences(
+            t, params, points[:2**depth], scale, tol))
+        # a word's value does not depend on the truncation depth
+        assert values == deeper[:2**depth]
+        for m, c in enumerate(values):
+            ref = mu_hat(exact_frequency(t) - Fraction(scale * points[m], 4),
+                         params, tol)
+            assert c.exact_zero == ref.exact_zero, m
+            assert abs(c.value - ref.value) <= c.error_bound + ref.error_bound, m
+            # a magnitude past its own bound certifies the sign
+            if c.magnitude > c.error_bound and ref.magnitude > ref.error_bound:
+                assert c.sign == ref.sign, m
+
+    def test_cosine_rounded_to_zero_is_not_an_exact_zero(self):
+        # t - 1/2 rounds to -1/2 in the node's ratio, where the cosine
+        # vanishes: the value is 0.0 within its bound, not an exact zero
+        params = BernoulliParams(1)
+        t = 1e-300
+        value = list(mu_hat_differences(t, params, point_numerators(params, 1)))[1]
+        ref = mu_hat(Fraction(t) - Fraction(1, 2), params)
+        assert not value.exact_zero and not ref.exact_zero
+        assert value.magnitude <= value.error_bound
+
+    def test_rejects_a_truncation_of_the_wrong_size(self):
+        for points in ([0, 8, 32], []):
+            with pytest.raises(ValueError, match="2\\^d numerators"):
+                next(mu_hat_differences(0.3, N2, points))
 
 
 class TestOperatorColumn:
@@ -182,6 +258,10 @@ class TestParseval:
     def test_scaled_needs_p(self):
         with pytest.raises(ValueError):
             parseval_partial(0.1, N2, 3, basis="scaled")
+
+    def test_rejects_negative_depth(self):
+        with pytest.raises(ValueError, match="max_digits must be >= 0"):
+            parseval_table(0.1, N2, -1)
 
     def test_rejects_unknown_basis(self):
         with pytest.raises(ValueError):
