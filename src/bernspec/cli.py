@@ -123,15 +123,16 @@ def cmd_matrix(args: argparse.Namespace) -> int:
     params = BernoulliParams(args.n, args.p)
     matrix = TruncatedMatrix.build(
         params, args.max_digits, tol=args.tol, order=args.order)
+    summary = matrix.to_json_text()
     if args.csv:
         matrix.write_csv(_resolve_output(args.csv))
     if args.json_file:
-        matrix.write_json(_resolve_output(args.json_file))
+        _resolve_output(args.json_file).write_text(summary)
     if args.pgm:
         matrix.write_pgm(_resolve_output(args.pgm))
     if args.svg:
         matrix.write_svg(_resolve_output(args.svg))
-    print(json.dumps(matrix.to_json_obj(), indent=2))
+    sys.stdout.write(summary)
     return 0
 
 
@@ -360,7 +361,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
+        # an unwritable output path is a bad input, not a crash
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

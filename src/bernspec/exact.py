@@ -39,9 +39,11 @@ _RATIO_FACTOR_ERR = math.pi * 2.0 ** -52 + _COSPI_SLOP
 DEFAULT_TOL = 1e-12
 
 # Most items one request may hold: spectrum words, matrix entries, verifier
-# word pairs, chaos samples or product factors.  A matrix entry takes about
-# 72 bytes, so the largest matrix allowed (11 digits) is ~300 MB; a chaos
-# run at the budget holds two arrays of 32 MB.
+# word pairs, chaos samples or product factors.  A built matrix keeps about
+# 10 bytes per entry (a reference to a value shared by every entry with the
+# same reduced argument), and its int64 argument arrays peak near 50 bytes
+# per entry, ~210 MB at the budget (11 digits); a chaos run at the budget
+# holds two arrays of 32 MB.
 ITEM_BUDGET = 1 << 22
 
 
@@ -214,6 +216,33 @@ def reduce_argument(t: QuarterInt, params: BernoulliParams) -> tuple[int, Quarte
         elif residue != 0:
             sign = 0
     return sign, QuarterInt(numer)
+
+
+def reduce_arguments(numers: np.ndarray,
+                     params: BernoulliParams) -> tuple[np.ndarray, np.ndarray]:
+    """reduce_argument over an array of quarter-integer numerators.
+
+    Returns (signs, reduced): int8 signs in {-1, 0, +1} and the reduced
+    numerators, each the pair reduce_argument gives for its element.  The
+    steps are the scalar ones, the same floor // and % and residue rule,
+    applied to the elements still divisible by 2n.  The numerators only
+    shrink, so an int64 array cannot overflow here; numerators past the
+    int64 range go in an object array of Python ints, which runs the same
+    code.
+    """
+    base = params.base
+    reduced = np.array(numers)
+    signs = np.ones(reduced.shape, dtype=np.int8)
+    flat, flat_signs = reduced.reshape(-1), signs.reshape(-1)
+    active = np.flatnonzero((flat != 0) & (flat % base == 0))
+    while active.size:
+        numer = flat[active] // base
+        flat[active] = numer
+        residue = numer % 4
+        flat_signs[active[residue == 2]] *= -1
+        flat_signs[active[residue % 2 == 1]] = 0
+        active = active[numer % base == 0]
+    return signs, reduced
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, replace
+from itertools import product
 from pathlib import Path
+from typing import Iterator
+
+import numpy as np
 
 from bernspec.exact import (
     DEFAULT_TOL,
@@ -23,6 +28,7 @@ from bernspec.exact import (
     in_zero_set,
     mu_hat,
     reduce_argument,
+    reduce_arguments,
 )
 from bernspec.report import CheckReport
 from bernspec.spectrum import (
@@ -60,14 +66,32 @@ class TruncatedMatrix:
         tol: float = DEFAULT_TOL,
         order: str = "strata",
     ) -> TruncatedMatrix:
+        """Every entry mu_hat(p*col - row), one certified value per |reduced|.
+
+        One reduce_arguments call takes the whole argument grid to its exact
+        (sign, reduced) pairs; mu_hat(t) = sign * mu_hat(reduced) and the
+        certified walk sees only |reduced|, so mu_hat runs once per distinct
+        |reduced| and each entry is that value with the exact sign, equal to
+        the scalar mu_hat at its argument.  Entries of one value share one
+        object, every exact zero one MuHatValue.zero().
+        """
         p = params.require_p()
         check_budget(4**max_digits, "matrix entries", max_digits)
         words = enumerate_spectrum(params, max_digits, order=order)
-        values = [word_value(w, params) for w in words]
-        scaled = [p * value for value in values]
-        entries = [[mu_hat(col - row, params, tol) for col in scaled]
-                   for row in values]
-        return cls(params, max_digits, order, words, entries)
+        numers = [word_value(w, params).numerator for w in words]
+        # |p*col - row| <= (p + 1) * max numerator; past int64, Python ints
+        dtype = np.int64 if (p + 1) * max(numers) < 2**62 else object
+        values = np.array(numers, dtype=dtype)
+        signs, reduced = reduce_arguments(p * values - values[:, None], params)
+        live = signs != 0
+        keys, index = np.unique(np.abs(reduced[live]), return_inverse=True)
+        certified = [mu_hat(QuarterInt(int(key)), params, tol) for key in keys]
+        negated = [replace(v, sign=-v.sign) for v in certified]
+        # codes index [certified..., negated..., zero]
+        shared = np.array(certified + negated + [MuHatValue.zero()], dtype=object)
+        codes = np.full(signs.shape, len(shared) - 1)
+        codes[live] = index + len(keys) * (signs[live] < 0)
+        return cls(params, max_digits, order, words, shared[codes].tolist())
 
     def zero_mask(self) -> list[list[bool]]:
         return [[e.exact_zero for e in row] for row in self.entries]
@@ -77,26 +101,32 @@ class TruncatedMatrix:
 
     # -- serialization ----------------------------------------------------
 
-    def to_csv_text(self) -> str:
-        lines = ["row_word,col_word,exact_zero,sign,magnitude,error_bound"]
+    def _csv_rows(self) -> Iterator[str]:
+        # the header, then one chunk of lines per matrix row; each distinct
+        # value object is formatted once
+        yield "row_word,col_word,exact_zero,sign,magnitude,error_bound\n"
         bits = [word_to_bits(w) for w in self.words]
+        cols = [f",{col}," for col in bits]
+        fields: dict[int, str] = {}
         for row, entries in zip(bits, self.entries):
-            for col, e in zip(bits, entries):
-                sign = 0 if e.exact_zero else e.sign
-                lines.append(
-                    f"{row},{col},{int(e.exact_zero)},{sign},{e.magnitude!r},{e.error_bound!r}"
-                )
-        return "\n".join(lines) + "\n"
+            parts = []
+            for col, e in zip(cols, entries):
+                text = fields.get(id(e))
+                if text is None:
+                    sign = 0 if e.exact_zero else e.sign
+                    text = fields[id(e)] = (f"{int(e.exact_zero)},{sign},"
+                                            f"{e.magnitude!r},{e.error_bound!r}\n")
+                parts += (row, col, text)
+            yield "".join(parts)
+
+    def to_csv_text(self) -> str:
+        return "".join(self._csv_rows())
 
     def to_json_obj(self) -> dict:
         keys = self._stratum_keys()
         strata = {key: keys.count(key) for key in dict.fromkeys(keys)}
-        blocks: dict[tuple[str, str], list[int]] = {}
-        for rk, entries in zip(keys, self.entries):
-            for ck, e in zip(keys, entries):
-                total_nonzero = blocks.setdefault((rk, ck), [0, 0])
-                total_nonzero[0] += 1
-                total_nonzero[1] += not e.exact_zero
+        nonzero = Counter((rk, ck) for rk, entries in zip(keys, self.entries)
+                          for ck, e in zip(keys, entries) if not e.exact_zero)
         return {
             "n": self.params.n,
             "p": self.params.p,
@@ -108,10 +138,10 @@ class TruncatedMatrix:
                 {
                     "row_stratum": rk,
                     "col_stratum": ck,
-                    "entries": total,
-                    "nonzero": nonzero,
+                    "entries": strata[rk] * strata[ck],
+                    "nonzero": nonzero[rk, ck],
                 }
-                for (rk, ck), (total, nonzero) in sorted(blocks.items())
+                for rk, ck in sorted(product(strata, strata))
             ],
         }
 
@@ -160,10 +190,15 @@ class TruncatedMatrix:
         return "\n".join(parts) + "\n"
 
     def write_csv(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_csv_text())
+        # streamed row by row, so the text of the whole matrix is never held
+        with open(path, "w") as out:
+            out.writelines(self._csv_rows())
+
+    def to_json_text(self) -> str:
+        return json.dumps(self.to_json_obj(), indent=2) + "\n"
 
     def write_json(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_json_obj(), indent=2) + "\n")
+        Path(path).write_text(self.to_json_text())
 
     def write_pgm(self, path: str | Path) -> None:
         Path(path).write_bytes(self.to_pgm_bytes())

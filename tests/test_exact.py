@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +19,7 @@ from bernspec.exact import (
     mu_hat,
     mu_hat_product,
     reduce_argument,
+    reduce_arguments,
 )
 
 N2 = BernoulliParams(2)
@@ -212,6 +214,50 @@ class TestReduceArgument:
         else:
             assert abs(full.value - sign * part.value) <= \
                 full.error_bound + part.error_bound
+
+
+@st.composite
+def reduction_numerators(draw, base):
+    """Numerators that reach every branch of the reduction: 0, small and
+    negative ones, zero-set members (2n)^k (2m+1), multiples of (2n)^k * 4
+    and ones between 2^62 and 2^70."""
+    k = draw(st.integers(1, 12))
+    sign = draw(st.sampled_from([-1, 1]))
+    return sign * draw(st.one_of(
+        st.just(0),
+        st.integers(0, 10**6),
+        st.integers(-10**6, 10**6).map(lambda m: base**k * (2 * m + 1)),
+        st.integers(0, 10**6).map(lambda m: base**k * 4 * m),
+        st.integers(2**62, 2**70),
+    ))
+
+
+class TestReduceArguments:
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_scalar_reduction(self, data):
+        # every element gets reduce_argument's (sign, reduced) pair, in an
+        # int64 array and in an object array of Python ints alike
+        params = BernoulliParams(data.draw(st.integers(1, 7)))
+        numers = data.draw(st.lists(reduction_numerators(params.base),
+                                    min_size=1, max_size=40))
+        dtype = data.draw(st.sampled_from([np.int64, object]))
+        if dtype is np.int64:
+            numers = [x for x in numers if abs(x) < 2**63] or [0]
+        signs, reduced = reduce_arguments(np.array(numers, dtype=dtype), params)
+        assert signs.shape == reduced.shape == (len(numers),)
+        assert reduced.dtype == dtype
+        for numer, sign, numer_reduced in zip(numers, signs, reduced):
+            assert (int(sign), QuarterInt(int(numer_reduced))) == \
+                reduce_argument(QuarterInt(numer), params)
+
+    def test_keeps_shape_and_input(self):
+        grid = np.array([[0, 24, 4], [-24, 96, 2**40]], dtype=np.int64)
+        before = grid.copy()
+        signs, reduced = reduce_arguments(grid, N2)
+        assert np.array_equal(grid, before)
+        assert signs.tolist() == [[1, -1, 0], [-1, -1, 0]]
+        assert reduced.tolist() == [[0, 6, 1], [-6, 6, 1]]
 
 
 # ---------------------------------------------------------------------------

@@ -68,6 +68,25 @@ class TestTruncatedMatrix:
             for col, entry in zip(m.words, entries):
                 assert entry == u_entry(row, col, params)
 
+    @pytest.mark.parametrize("order", ["strata", "value"])
+    def test_arguments_past_int64_equal_u_entry(self, order):
+        # n = 4000: p*col - row reaches about 1e20, so the grid is reduced
+        # as Python ints
+        params = BernoulliParams(4000, 3)
+        assert 4 * word_value((0, 0, 0, 0, 1), params).numerator > 2**62
+        m = TruncatedMatrix.build(params, 5, order=order)
+        for row, entries in zip(m.words, m.entries):
+            for col, entry in zip(m.words, entries):
+                assert entry == u_entry(row, col, params)
+
+    @pytest.mark.parametrize("params", [N2P5, BernoulliParams(3, 5)])
+    def test_equal_entries_share_one_object(self, params):
+        m = TruncatedMatrix.build(params, 5)
+        flat = [e for row in m.entries for e in row]
+        assert len({id(e) for e in flat}) == len(set(flat))
+        zeros = [e for e in flat if e.exact_zero]
+        assert zeros and all(e is zeros[0] for e in zeros)
+
     def test_strata_order_blocks_in_mask(self):
         from bernspec.spectrum import stratum_index
 
