@@ -129,16 +129,6 @@ class TestSpectrum:
         assert "1,3/2,0" in out.splitlines()
 
 
-    def test_unwritable_csv_rejected(self, tmp_path, capsys):
-        blocker = tmp_path / "file"
-        blocker.write_text("")
-        assert main(["spectrum", "--max-digits", "2",
-                     "--csv", str(blocker / "x.csv")]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: ")
-
-
 class TestMatrix:
     def test_writes_all_formats(self, tmp_path, capsys):
         paths = {fmt: tmp_path / f"m.{fmt}" for fmt in
@@ -169,18 +159,20 @@ class TestMatrix:
         assert captured.out == ""
         assert f"needs {count}, over the size budget of 4194304" in captured.err
 
-
-    @pytest.mark.parametrize("flag", ["--csv", "--json-file", "--pgm", "--svg"])
-    def test_unwritable_output_path_rejected(self, flag, tmp_path, capsys):
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--max-digits", "2", "--csv"],
+        *[["matrix", "--p", "5", "--max-digits", "2", flag]
+          for flag in ("--csv", "--json-file", "--pgm", "--svg")],
+    ])
+    def test_unwritable_output_path_rejected(self, argv, tmp_path, capsys):
         # the parent of the output path is a regular file
         blocker = tmp_path / "file"
         blocker.write_text("")
-        assert main(["matrix", "--p", "5", "--max-digits", "2",
-                     flag, str(blocker / "x.out")]) == 2
+        assert main([*argv, str(blocker / "x.out")]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ")
-        assert "file" in captured.err
+        assert str(blocker) in captured.err
 
 
 class TestVerify:

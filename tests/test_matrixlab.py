@@ -73,7 +73,7 @@ class TestTruncatedMatrix:
         # n = 4000: p*col - row reaches about 1e20, so the grid is reduced
         # as Python ints
         params = BernoulliParams(4000, 3)
-        assert 4 * word_value((0, 0, 0, 0, 1), params).numerator > 2**62
+        assert word_value((0, 0, 0, 0, 1), params).numerator > 2**63
         m = TruncatedMatrix.build(params, 5, order=order)
         for row, entries in zip(m.words, m.entries):
             for col, entry in zip(m.words, entries):
