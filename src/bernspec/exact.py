@@ -8,6 +8,8 @@ which vanishes exactly at the points (2n)^k * (odd integer) / 4, k >= 1.
 All structural questions (membership, argument reduction, factor signs)
 are decided on quarter-integers in plain integer arithmetic; floats enter
 only through cosine factors that carry a certified absolute error bound.
+reduce_numerator is the one scalar reduction: reduce_argument wraps it for
+a QuarterInt, and the verifiers call it on bare numerators.
 Every argument, a quarter-integer, a fraction or a float, is evaluated
 through its exact ratio numerator/denominator, so one factor walk serves
 them all.  mu_hat_differences takes the transform at t - scale * gamma over
@@ -21,9 +23,10 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, NamedTuple
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 _EPS = sys.float_info.epsilon
 
@@ -195,18 +198,16 @@ def in_zero_set(t: QuarterInt, params: BernoulliParams) -> bool:
     return odd % u**k == 0
 
 
-def reduce_argument(t: QuarterInt, params: BernoulliParams) -> tuple[int, QuarterInt]:
-    """Strip all factors of 2n from t, collecting the removed cosines.
+def reduce_numerator(numer: int, base: int) -> tuple[int, int]:
+    """Strip all factors of base = 2n from a numerator over 4.
 
     Each step uses mu_hat((2n) r) = cos(2 pi r) mu_hat(r): after dividing
     the numerator by 2n, its residue mod 4 gives the removed factor exactly
     (0 -> +1, 2 -> -1, odd -> 0).  Returns (sign, reduced) with sign in
-    {-1, 0, +1} and mu_hat(t) = sign * mu_hat(reduced).  The sign is 0 if
-    and only if t lies in the zero set; the reduced numerator is never
-    divisible by 2n (except when t = 0).
+    {-1, 0, +1} and mu_hat(numer/4) = sign * mu_hat(reduced/4).  The sign
+    is 0 if and only if numer/4 lies in the zero set; the reduced numerator
+    is never divisible by 2n (except when numer = 0).
     """
-    base = params.base
-    numer = t.numerator
     sign = 1
     while numer != 0 and numer % base == 0:
         numer //= base
@@ -215,21 +216,33 @@ def reduce_argument(t: QuarterInt, params: BernoulliParams) -> tuple[int, Quarte
             sign = -sign
         elif residue != 0:
             sign = 0
-    return sign, QuarterInt(numer)
+    return sign, numer
+
+
+def reduce_argument(t: QuarterInt, params: BernoulliParams) -> tuple[int, QuarterInt]:
+    """Strip all factors of 2n from t: reduce_numerator on its numerator.
+
+    Returns (sign, reduced) with mu_hat(t) = sign * mu_hat(reduced); the
+    sign is 0 if and only if t lies in the zero set.
+    """
+    sign, reduced = reduce_numerator(t.numerator, params.base)
+    return sign, QuarterInt(reduced)
 
 
 def reduce_arguments(numers: np.ndarray,
                      params: BernoulliParams) -> tuple[np.ndarray, np.ndarray]:
-    """reduce_argument over an array of quarter-integer numerators.
+    """reduce_numerator over an array of quarter-integer numerators.
 
     Returns (signs, reduced): int8 signs in {-1, 0, +1} and the reduced
-    numerators, each the pair reduce_argument gives for its element.  The
+    numerators, each the pair reduce_numerator gives for its element.  The
     steps are the scalar ones, the same floor // and % and residue rule,
     applied to the elements still divisible by 2n.  The numerators only
     shrink, so an int64 array cannot overflow here; numerators past the
     int64 range go in an object array of Python ints, which runs the same
     code.
     """
+    import numpy as np
+
     base = params.base
     reduced = np.array(numers)
     signs = np.ones(reduced.shape, dtype=np.int8)
@@ -582,6 +595,8 @@ def chaos_game_estimate(
         omega = math.inf
     if not math.isfinite(omega):
         raise ValueError(f"2 pi t must be a finite float, got t = {t}")
+    import numpy as np
+
     base = params.base
     depth = math.ceil(53.0 * math.log(2.0) / math.log(base)) + 1
     rng = np.random.default_rng(seed)

@@ -18,17 +18,14 @@ from itertools import product
 from pathlib import Path
 from typing import Iterator
 
-import numpy as np
-
 from bernspec.exact import (
     DEFAULT_TOL,
     BernoulliParams,
     MuHatValue,
     QuarterInt,
-    in_zero_set,
     mu_hat,
-    reduce_argument,
     reduce_arguments,
+    reduce_numerator,
 )
 from bernspec.report import CheckReport
 from bernspec.spectrum import (
@@ -36,6 +33,7 @@ from bernspec.spectrum import (
     Word,
     check_budget,
     enumerate_spectrum,
+    point_numerators,
     stratum_index,
     tilde_stratum_index,
     word_to_bits,
@@ -77,6 +75,8 @@ class TruncatedMatrix:
         """
         p = params.require_p()
         check_budget(4**max_digits, "matrix entries", max_digits)
+        import numpy as np
+
         words = enumerate_spectrum(params, max_digits, order=order)
         numers = [word_value(w, params).numerator for w in words]
         # |p*col - row| <= (p + 1) * max numerator; past int64, Python ints
@@ -211,30 +211,16 @@ class TruncatedMatrix:
 # structure verifiers
 
 
-def _at(where: tuple[str, Word, str, Word]) -> str:
-    first, first_word, second, second_word = where
+def _at(first: str, first_word: Word, second: str, second_word: Word) -> str:
     return (f"{first} {word_to_bits(first_word)!r}, "
             f"{second} {word_to_bits(second_word)!r}")
 
 
-def _check_pair(report: CheckReport, params: BernoulliParams, got: QuarterInt,
-                want: QuarterInt | None, failure: str,
-                where: tuple[str, Word, str, Word], flip: bool = False) -> bool:
-    """Count one exact check that got and want reduce to the same pair.
-
-    The pairs are reduce_argument's (sign, reduced); flip negates want's
-    sign first.  want None demands instead that got lies in the zero set.
-    A failure is reported as "<failure> at <label> <word>, <label> <word>".
-    """
-    report.checked += 1
-    if want is None:
-        holds = in_zero_set(got, params)
-    else:
-        sign, reduced = reduce_argument(want, params)
-        holds = reduce_argument(got, params) == (-sign if flip else sign, reduced)
-    if not holds:
-        report.add(f"{failure} at {_at(where)}")
-    return holds
+# The pair verifiers run on the numerators 4 * gamma of point_numerators, in
+# counting order, and compare reduce_numerator's exact (sign, reduced) pairs;
+# a sign 0 marks the zero set.  A shifted word is looked up by its index:
+# prepending k zeros to word m gives word m << k, and a leading 1 gives word
+# 2m + 1.
 
 
 def verify_block_diagonal(params: BernoulliParams, max_digits: int) -> CheckReport:
@@ -247,16 +233,20 @@ def verify_block_diagonal(params: BernoulliParams, max_digits: int) -> CheckRepo
         f"block-diagonal(n={params.n}, p={params.require_p()}, "
         f"digits<={max_digits})")
     check_budget(4**max_digits, "word pairs", max_digits)
-    words = [(w, word_value(w, params), stratum_index(w))
-             for w in enumerate_spectrum(params, max_digits)]
-    p = params.require_p()
-    for col, col_value, col_stratum in words:
-        scaled = p * col_value
-        for row, row_value, row_stratum in words:
+    p, base = params.require_p(), params.base
+    words = [(w, numer, stratum_index(w)) for w, numer in zip(
+        enumerate_spectrum(params, max_digits),
+        point_numerators(params, max_digits))]
+    checked = 0
+    for col, col_numer, col_stratum in words:
+        scaled = p * col_numer
+        for row, row_numer, row_stratum in words:
             if row_stratum != col_stratum:
-                _check_pair(report, params, scaled - row_value, None,
-                            "nonzero entry off the block diagonal",
-                            ("row", row, "col", col))
+                checked += 1
+                if reduce_numerator(scaled - row_numer, base)[0] != 0:
+                    report.add("nonzero entry off the block diagonal at "
+                               + _at("row", row, "col", col))
+    report.checked = checked
     return report
 
 
@@ -275,18 +265,21 @@ def verify_block_equality(
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     check_budget(4**max_digits, "word pairs", max_digits)
-    p = params.require_p()
-    stratum0 = [(w, word_value(w, params))
-                for w in enumerate_spectrum(params, max_digits) if w and w[0] == 1]
+    p, base = params.require_p(), params.base
+    words = enumerate_spectrum(params, max_digits)
+    numers = point_numerators(params, max_digits)
     for k in range(1, k_max + 1):
-        shared = [(w, value, word_value((0,) * k + w, params))
-                  for w, value in stratum0 if len(w) + k <= max_digits]
+        # the stratum-0 words m (odd) whose shift m << k is in the truncation
+        shared = [(words[m], numers[m], numers[m << k])
+                  for m in range(1, len(numers) >> k, 2)]
+        report.checked += len(shared) ** 2
         failure = f"stratum-{k} entry differs from stratum-0"
-        for col, col_value, col_shifted in shared:
-            scaled, scaled_shifted = p * col_value, p * col_shifted
-            for row, row_value, row_shifted in shared:
-                _check_pair(report, params, scaled_shifted - row_shifted,
-                            scaled - row_value, failure, ("row", row, "col", col))
+        for col, col_numer, col_shifted in shared:
+            scaled, scaled_shifted = p * col_numer, p * col_shifted
+            for row, row_numer, row_shifted in shared:
+                if (reduce_numerator(scaled_shifted - row_shifted, base)
+                        != reduce_numerator(scaled - row_numer, base)):
+                    report.add(f"{failure} at {_at('row', row, 'col', col)}")
     return report
 
 
@@ -303,21 +296,25 @@ def verify_commutation_even(params: BernoulliParams, max_digits: int) -> CheckRe
         f"commute-even(n={params.n}, p={params.require_p()}, "
         f"digits<={max_digits})")
     check_budget(4**max_digits, "word pairs", max_digits)
-    p = params.require_p()
-    base = params.base
-    inner = [(w, word_value(w, params))
-             for w in enumerate_spectrum(params, max(0, max_digits - 1))]
-    odd_range = [(w, word_value(w, params))
-                 for w in enumerate_spectrum(params, max_digits) if w and w[0] == 1]
-    for g, gv in inner:
-        scaled, shifted = p * gv, base * p * gv
-        for x, xv in inner:
-            _check_pair(report, params, shifted - base * xv, scaled - xv,
-                        "coefficient mismatch", ("gamma", g, "xi", x))
+    p, base = params.require_p(), params.base
+    words = enumerate_spectrum(params, max_digits)
+    numers = point_numerators(params, max_digits)
+    # gamma and xi have at most max_digits - 1 digits; the isometry maps
+    # word m to word 2m
+    inner = [(words[m], numers[m], numers[2 * m])
+             for m in range(1 << max(0, max_digits - 1))]
+    odd_range = list(zip(words[1::2], numers[1::2]))
+    report.checked = len(inner) * (len(inner) + len(odd_range))
+    for g, g_numer, g_shifted in inner:
+        scaled, shifted = p * g_numer, p * g_shifted
+        for x, x_numer, x_shifted in inner:
+            if (reduce_numerator(shifted - x_shifted, base)
+                    != reduce_numerator(scaled - x_numer, base)):
+                report.add("coefficient mismatch at " + _at("gamma", g, "xi", x))
         # coefficients at odd-range words must vanish for the sides to agree
-        for eta, ev in odd_range:
-            _check_pair(report, params, shifted - ev, None,
-                        "leaked coefficient", ("gamma", g, "eta", eta))
+        for eta, eta_numer in odd_range:
+            if reduce_numerator(shifted - eta_numer, base)[0] != 0:
+                report.add("leaked coefficient at " + _at("gamma", g, "eta", eta))
     return report
 
 
@@ -337,23 +334,29 @@ def verify_odd_twisted_relations(
         f"commute-odd(n={params.n}, p={params.require_p()}, "
         f"digits<={max_digits})")
     check_budget(4**max_digits, "word pairs", max_digits)
-    p = params.require_p()
-    base, half = params.base, params.half_n
-    words = [(w, word_value(w, params)) for w in enumerate_spectrum(params, max_digits)]
-    for g, gv in words:
-        keeps_sign_on_even = (not g) or g[0] == 0
-        scaled, shifted = p * gv, base * p * gv
-        for x, xv in words:
-            where = ("gamma", g, "xi", x)
-            even = base * xv
-            _check_pair(report, params,
-                        shifted - base * even, scaled - even,
-                        "even-range sign relation fails", where,
-                        flip=not keeps_sign_on_even)
-            _check_pair(report, params,
-                        shifted - base * (half + even), scaled - half - even,
-                        "mixed-range sign relation fails", where,
-                        flip=keeps_sign_on_even)
+    p, base = params.require_p(), params.base
+    words = enumerate_spectrum(params, max_digits)
+    # xi = word x has the even-range word 2x and the mixed-range word
+    # 2x + 1, shifted to 4x and 4x + 2: two digits past max_digits
+    numers = point_numerators(params, max_digits + 2)
+    ranges = [(xi, numers[2 * x], numers[4 * x], numers[2 * x + 1],
+               numers[4 * x + 2]) for x, xi in enumerate(words)]
+    report.checked = 2 * len(words) ** 2
+    for g, gamma in enumerate(words):
+        # gamma empty or starting with 0
+        keeps_sign_on_even = g % 2 == 0
+        scaled, shifted = p * numers[g], p * numers[2 * g]
+        for xi, even, even_shifted, mixed, mixed_shifted in ranges:
+            sign, reduced = reduce_numerator(scaled - even, base)
+            if reduce_numerator(shifted - even_shifted, base) != (
+                    sign if keeps_sign_on_even else -sign, reduced):
+                report.add("even-range sign relation fails at "
+                           + _at("gamma", gamma, "xi", xi))
+            sign, reduced = reduce_numerator(scaled - mixed, base)
+            if reduce_numerator(shifted - mixed_shifted, base) != (
+                    -sign if keeps_sign_on_even else sign, reduced):
+                report.add("mixed-range sign relation fails at "
+                           + _at("gamma", gamma, "xi", xi))
     return report
 
 
@@ -365,7 +368,8 @@ def verify_multiplication_identity(
     With stratum-0 words written as a leading 1 over inner words gamma, xi,
     the entry argument 5*col - row is exactly 4*(1 + 5*gamma - xi), so both
     sides must have identical reductions; matched nonzero entries are also
-    compared numerically within tol.
+    compared numerically within tol.  As in TruncatedMatrix.build, mu_hat
+    runs once per distinct |reduced| off the zero set.
     """
     params = BernoulliParams(2, 5)
     report = CheckReport(f"multiplication(n=2, p=5, digits<={max_digits})")
@@ -374,26 +378,42 @@ def verify_multiplication_identity(
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
     check_budget(4**max_digits, "word pairs", max_digits)
-    one = QuarterInt.from_int(1)
-    words = [((1,) + w, word_value(w, params), word_value((1,) + w, params))
-             for w in enumerate_spectrum(params, max_digits - 1)]
-    for col, gv, col_value in words:
-        shifted, scaled = one + 5 * gv, 5 * col_value
-        for row, xv, row_value in words:
-            where = ("row", row, "col", col)
-            entry_arg = scaled - row_value
-            identity_arg = shifted - xv
-            if not _check_pair(report, params, entry_arg, identity_arg,
-                               "reductions differ", where):
-                continue
-            lhs = mu_hat(entry_arg, params)
-            rhs = mu_hat(identity_arg, params)
-            if lhs.exact_zero != rhs.exact_zero:
-                report.add(f"zero flags differ at {_at(where)}")
-            elif abs(lhs.value - rhs.value) > tol:
-                report.add(f"values differ beyond {tol} at {_at(where)}")
-    return report
+    base = params.base
+    words = enumerate_spectrum(params, max_digits)
+    numers = point_numerators(params, max_digits)
+    # the stratum-0 word 2m + 1 is a leading 1 over the inner word m
+    stratum0 = [(words[2 * m + 1], numers[m], numers[2 * m + 1])
+                for m in range(len(numers) >> 1)]
+    report.checked = len(stratum0) ** 2
+    zero = MuHatValue.zero()
+    certified: dict[int, tuple[MuHatValue, MuHatValue]] = {}
 
+    def value(sign: int, reduced: int) -> MuHatValue:
+        # mu_hat at sign * reduced / 4: the walk sees only |reduced|
+        if sign == 0:
+            return zero
+        pair = certified.get(abs(reduced))
+        if pair is None:
+            v = mu_hat(QuarterInt(abs(reduced)), params)
+            pair = certified[abs(reduced)] = (v, replace(v, sign=-v.sign))
+        return pair[sign < 0]
+
+    for col, gamma, col_numer in stratum0:
+        # 4 * (1 + 5 gamma) and 4 * (5 col)
+        shifted, scaled = 4 + 5 * gamma, 5 * col_numer
+        for row, xi, row_numer in stratum0:
+            entry = reduce_numerator(scaled - row_numer, base)
+            identity = reduce_numerator(shifted - xi, base)
+            if entry != identity:
+                report.add("reductions differ at " + _at("row", row, "col", col))
+                continue
+            lhs, rhs = value(*entry), value(*identity)
+            if lhs.exact_zero != rhs.exact_zero:
+                report.add("zero flags differ at " + _at("row", row, "col", col))
+            elif abs(lhs.value - rhs.value) > tol:
+                report.add(f"values differ beyond {tol} at "
+                           + _at("row", row, "col", col))
+    return report
 
 # ---------------------------------------------------------------------------
 # sparsity of the stratum-0 block (n = 2, p = 5)
@@ -473,14 +493,16 @@ def analyze_w0_sparsity(
         + (f", classes<={tilde_max}" if tilde_max is not None else "")
         + ")")
     check_budget(4**max_digits, "word pairs", max_digits)
-    classes: dict[int | str, list[tuple[Word, QuarterInt]]] = {}
-    for w in enumerate_spectrum(params, max_digits):
+    base = params.base
+    classes: dict[int | str, list[tuple[Word, int]]] = {}
+    for w, numer in zip(enumerate_spectrum(params, max_digits),
+                        point_numerators(params, max_digits)):
         if not w or w[0] != 1:
             continue
         label = tilde_stratum_index(w, params)
         if tilde_max is not None and isinstance(label, int) and label > tilde_max:
             continue
-        classes.setdefault(label, []).append((w, word_value(w, params)))
+        classes.setdefault(label, []).append((w, numer))
     ordered = sorted(classes, key=lambda c: -1 if c == TILDE_ONE_POINT else c)
     blocks = []
     for row_class in ordered:
@@ -491,17 +513,17 @@ def analyze_w0_sparsity(
             nonzero = 0
             witness = None
             exact_one = None
-            for col, col_value in cols:
-                scaled = 5 * col_value
-                for row, row_value in rows:
-                    check.checked += 1
-                    argument = scaled - row_value
-                    if in_zero_set(argument, params):
+            check.checked += len(rows) * len(cols)
+            for col, col_numer in cols:
+                scaled = 5 * col_numer
+                for row, row_numer in rows:
+                    argument = scaled - row_numer
+                    if reduce_numerator(argument, base)[0] == 0:
                         continue
                     nonzero += 1
                     if witness is None:
                         witness = (row, col)
-                    if exact_one is None and argument.numerator == 0:
+                    if exact_one is None and argument == 0:
                         exact_one = (row, col)
             if expected_zero and nonzero:
                 check.add(

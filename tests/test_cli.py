@@ -1,6 +1,10 @@
 """CLI behavior: parsing, exit codes, deterministic exports."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -92,8 +96,9 @@ class TestMuhat:
         assert "unrecognized arguments: --p 5" in capsys.readouterr().err
 
     def test_oversized_terms_rejected(self, monkeypatch, capsys):
-        # rejected before the walk, which would run for days at this length
-        monkeypatch.setattr(exact, "np", None)
+        # rejected before the walk, which would run for days at this length;
+        # with numpy None in sys.modules any numpy import raises
+        monkeypatch.setitem(sys.modules, "numpy", None)
         monkeypatch.setattr(exact, "_product", None)
         assert main(["muhat", "--t", "0.3", "--terms", "10000000000"]) == 2
         captured = capsys.readouterr()
@@ -368,10 +373,36 @@ class TestChaos:
         assert "2 pi t must be a finite float" in captured.err
 
     def test_oversized_sample_count_rejected(self, monkeypatch, capsys):
-        # rejected before numpy allocates the two 80 GB sample arrays
-        monkeypatch.setattr(exact, "np", None)
+        # rejected before numpy allocates the two 80 GB sample arrays; with
+        # numpy None in sys.modules any numpy import raises
+        monkeypatch.setitem(sys.modules, "numpy", None)
         assert main(["chaos", "--t", "0.3", "--samples", "10000000000"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert ("samples 10000000000 is over the size budget of 4194304"
                 in captured.err)
+
+
+class TestNumpyImport:
+    # a fresh interpreter runs one command and reports whether numpy loaded
+    SCRIPT = ("import contextlib, io, sys\n"
+              "from bernspec.cli import main\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              "    rc = main(sys.argv[1:])\n"
+              "print(rc, 'numpy' in sys.modules)\n")
+
+    @pytest.mark.parametrize("argv,loads_numpy", [
+        (["verify", "all"], False),
+        (["muhat", "--t", "24"], False),
+        (["parseval", "--t", "0.3", "--max-digits", "4"], False),
+        (["spectrum", "--max-digits", "3"], False),
+        (["matrix", "--p", "5", "--max-digits", "2"], True),
+        (["chaos", "--t", "0.3", "--samples", "10"], True),
+    ])
+    def test_numpy_loads_only_for_arrays(self, argv, loads_numpy):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        result = subprocess.run([sys.executable, "-c", self.SCRIPT, *argv],
+                                capture_output=True, text=True, env=env,
+                                check=True)
+        assert result.stdout.split() == ["0", str(loads_numpy)]

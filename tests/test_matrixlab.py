@@ -1,10 +1,18 @@
 """Tests for truncated operator matrices and their structure verifiers."""
 
 import math
+from dataclasses import astuple
 
 import pytest
 
-from bernspec.exact import BernoulliParams, QuarterInt, mu_hat, reduce_argument
+from bernspec import matrixlab
+from bernspec.exact import (
+    BernoulliParams,
+    QuarterInt,
+    in_zero_set,
+    mu_hat,
+    reduce_argument,
+)
 from bernspec.matrixlab import (
     TruncatedMatrix,
     analyze_w0_sparsity,
@@ -16,7 +24,15 @@ from bernspec.matrixlab import (
     verify_odd_twisted_relations,
     verify_w0_sparsity,
 )
-from bernspec.spectrum import TILDE_ONE_POINT, enumerate_spectrum, word_value
+from bernspec.operators import prepend_one, prepend_zero
+from bernspec.spectrum import (
+    TILDE_ONE_POINT,
+    enumerate_spectrum,
+    stratum_index,
+    tilde_stratum_index,
+    word_to_bits,
+    word_value,
+)
 
 N2P5 = BernoulliParams(2, 5)
 N3P3 = BernoulliParams(3, 3)
@@ -368,3 +384,165 @@ class TestSparsity:
             "row_class", "col_class", "expected_zero", "rows", "cols",
             "nonzero_count", "witness", "exact_one",
         }
+
+
+class TestViolations:
+    """Every pair verifier reports the violations of a perturbed truncation.
+
+    point_numerators moves word 3 = (1, 1) by SHIFT / 4.  The reference
+    repeats each verifier's pairs in its order with QuarterInt arguments, the
+    scalar reduce_argument and in_zero_set, and word values looked up by
+    word, so it also checks which word each shifted index names.
+    """
+
+    WORD, SHIFT = 3, 4
+
+    @pytest.fixture
+    def values(self, monkeypatch):
+        real = matrixlab.point_numerators
+
+        def perturbed(params, max_digits):
+            numers = real(params, max_digits)
+            if len(numers) > self.WORD:
+                numers[self.WORD] += self.SHIFT
+            return numers
+
+        monkeypatch.setattr(matrixlab, "point_numerators", perturbed)
+
+        def values(params, max_digits):
+            # word -> perturbed value, two digits past max_digits
+            words = enumerate_spectrum(params, max_digits + 2)
+            numers = perturbed(params, max_digits + 2)
+            return {w: QuarterInt(numer) for w, numer in zip(words, numers)}
+
+        return values
+
+    @staticmethod
+    def reference():
+        checks = {"checked": 0, "violations": []}
+
+        def check(params, got, want, failure, where, flip=False):
+            checks["checked"] += 1
+            if want is None:
+                holds = in_zero_set(got, params)
+            else:
+                sign, reduced = reduce_argument(want, params)
+                holds = reduce_argument(got, params) == (
+                    -sign if flip else sign, reduced)
+            if not holds:
+                first, first_word, second, second_word = where
+                checks["violations"].append(
+                    f"{failure} at {first} {word_to_bits(first_word)!r}, "
+                    f"{second} {word_to_bits(second_word)!r}")
+            return holds
+
+        return checks, check
+
+    @staticmethod
+    def assert_matches(report, checks):
+        assert checks["violations"]
+        assert report.checked == checks["checked"]
+        assert report.violations == checks["violations"]
+
+    def test_block_diagonal(self, values):
+        v, (checks, check) = values(N2P5, 4), self.reference()
+        words = enumerate_spectrum(N2P5, 4)
+        for col in words:
+            for row in words:
+                if stratum_index(row) != stratum_index(col):
+                    check(N2P5, 5 * v[col] - v[row], None,
+                          "nonzero entry off the block diagonal",
+                          ("row", row, "col", col))
+        self.assert_matches(verify_block_diagonal(N2P5, 4), checks)
+
+    def test_block_equality(self, values):
+        v, (checks, check) = values(N2P5, 5), self.reference()
+        stratum0 = [w for w in enumerate_spectrum(N2P5, 5) if w and w[0] == 1]
+        for k in (1, 2, 3):
+            shared = [w for w in stratum0 if len(w) + k <= 5]
+            for col in shared:
+                for row in shared:
+                    check(N2P5, 5 * v[(0,) * k + col] - v[(0,) * k + row],
+                          5 * v[col] - v[row],
+                          f"stratum-{k} entry differs from stratum-0",
+                          ("row", row, "col", col))
+        self.assert_matches(verify_block_equality(N2P5, 5, 3), checks)
+
+    def test_commutation_even(self, values):
+        v, (checks, check) = values(N2P5, 4), self.reference()
+        inner = enumerate_spectrum(N2P5, 3)
+        odd_range = [w for w in enumerate_spectrum(N2P5, 4) if w and w[0] == 1]
+        for g in inner:
+            for x in inner:
+                check(N2P5, 5 * v[prepend_zero(g)] - v[prepend_zero(x)],
+                      5 * v[g] - v[x],
+                      "coefficient mismatch", ("gamma", g, "xi", x))
+            for eta in odd_range:
+                check(N2P5, 5 * v[prepend_zero(g)] - v[eta], None,
+                      "leaked coefficient", ("gamma", g, "eta", eta))
+        self.assert_matches(verify_commutation_even(N2P5, 4), checks)
+
+    def test_odd_twisted_relations(self, values):
+        params = BernoulliParams(3, 5)
+        v, (checks, check) = values(params, 3), self.reference()
+        words = enumerate_spectrum(params, 3)
+        for g in words:
+            keeps = not g or g[0] == 0
+            for x in words:
+                where = ("gamma", g, "xi", x)
+                even, mixed = prepend_zero(x), prepend_one(x)
+                check(params, 5 * v[prepend_zero(g)] - v[prepend_zero(even)],
+                      5 * v[g] - v[even],
+                      "even-range sign relation fails", where, flip=not keeps)
+                check(params, 5 * v[prepend_zero(g)] - v[prepend_zero(mixed)],
+                      5 * v[g] - v[mixed],
+                      "mixed-range sign relation fails", where, flip=keeps)
+        self.assert_matches(verify_odd_twisted_relations(params, 3), checks)
+
+    def test_multiplication_identity(self, values):
+        v, (checks, check) = values(N2P5, 4), self.reference()
+        inner = enumerate_spectrum(N2P5, 3)
+        for gamma in inner:
+            for xi in inner:
+                row, col = prepend_one(xi), prepend_one(gamma)
+                where = ("row", row, "col", col)
+                entry = 5 * v[col] - v[row]
+                identity = QuarterInt.from_int(1) + 5 * v[gamma] - v[xi]
+                if check(N2P5, entry, identity, "reductions differ", where):
+                    lhs, rhs = mu_hat(entry, N2P5), mu_hat(identity, N2P5)
+                    assert lhs == rhs
+        self.assert_matches(verify_multiplication_identity(4), checks)
+
+    def test_w0_census(self, values):
+        v = values(N2P5, 6)
+        stratum0 = [w for w in enumerate_spectrum(N2P5, 6) if w and w[0] == 1]
+        # the gap classes of a depth-6 truncation
+        labels = [TILDE_ONE_POINT, 0, 1, 2, 3, 4]
+        checked, violations, blocks = 0, [], []
+        for row_class in labels:
+            for col_class in labels:
+                rows = [w for w in stratum0
+                        if tilde_stratum_index(w, N2P5) == row_class]
+                cols = [w for w in stratum0
+                        if tilde_stratum_index(w, N2P5) == col_class]
+                nonzero = [(row, col) for col in cols for row in rows
+                           if not in_zero_set(5 * v[col] - v[row], N2P5)]
+                exact_one = [(row, col) for row, col in nonzero
+                             if not 5 * v[col] - v[row]]
+                expected_zero = (row_class == 0) == (col_class == 0)
+                checked += len(rows) * len(cols)
+                if expected_zero and nonzero:
+                    row, col = nonzero[0]
+                    violations.append(
+                        f"expected-zero block ({row_class}, {col_class}) has "
+                        f"{len(nonzero)} nonzero entries, first at "
+                        f"row {word_to_bits(row)!r}, col {word_to_bits(col)!r}")
+                blocks.append((row_class, col_class, expected_zero, len(rows),
+                               len(cols), len(nonzero),
+                               nonzero[0] if nonzero else None,
+                               exact_one[0] if exact_one else None))
+        report = analyze_w0_sparsity(6)
+        assert violations
+        assert report.check.checked == checked
+        assert report.check.violations == violations
+        assert [astuple(b) for b in report.blocks] == blocks
