@@ -17,6 +17,7 @@ import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 from bernspec.exact import (
     DEFAULT_TOL,
@@ -72,6 +73,16 @@ def _resolve_output(path_text: str) -> Path:
     return path
 
 
+def _write(flag: str, path_text: str | None, write: Callable[[Path], object]) -> None:
+    # write one output the flag asked for; an OSError names the flag and path
+    if not path_text:
+        return
+    try:
+        write(_resolve_output(path_text))
+    except OSError as exc:
+        raise OSError(f"cannot write {flag} {path_text}: {exc}") from exc
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -113,7 +124,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         )
     text = "\n".join(lines) + "\n"
     if args.csv:
-        _resolve_output(args.csv).write_text(text)
+        _write("--csv", args.csv, lambda path: path.write_text(text))
     else:
         sys.stdout.write(text)
     return 0
@@ -124,14 +135,10 @@ def cmd_matrix(args: argparse.Namespace) -> int:
     matrix = TruncatedMatrix.build(
         params, args.max_digits, tol=args.tol, order=args.order)
     summary = matrix.to_json_text()
-    if args.csv:
-        matrix.write_csv(_resolve_output(args.csv))
-    if args.json_file:
-        _resolve_output(args.json_file).write_text(summary)
-    if args.pgm:
-        matrix.write_pgm(_resolve_output(args.pgm))
-    if args.svg:
-        matrix.write_svg(_resolve_output(args.svg))
+    _write("--csv", args.csv, matrix.write_csv)
+    _write("--json-file", args.json_file, lambda path: path.write_text(summary))
+    _write("--pgm", args.pgm, matrix.write_pgm)
+    _write("--svg", args.svg, matrix.write_svg)
     sys.stdout.write(summary)
     return 0
 

@@ -178,6 +178,9 @@ class TestMatrix:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
         assert str(blocker) in captured.err
+        # the message names the flag and the output path it was given
+        assert argv[-1] in captured.err
+        assert str(blocker / "x.out") in captured.err
 
 
 class TestVerify:
