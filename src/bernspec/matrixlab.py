@@ -415,6 +415,7 @@ def verify_multiplication_identity(
                            + _at("row", row, "col", col))
     return report
 
+
 # ---------------------------------------------------------------------------
 # sparsity of the stratum-0 block (n = 2, p = 5)
 
