@@ -15,6 +15,8 @@ through its exact ratio numerator/denominator, so one factor walk serves
 them all.  mu_hat_differences takes the transform at t - scale * gamma over
 a whole spectrum truncation along the digit tree of the Cuntz isometries:
 one cosine per tree node, and one walk per point for the factors below it.
+mu_hat_many is mu_hat over an array of quarter-integers in one batched
+walk, with the same bits as the scalar mu_hat, which stays the reference.
 """
 
 from __future__ import annotations
@@ -44,10 +46,13 @@ DEFAULT_TOL = 1e-12
 # Most items one request may hold: spectrum words, matrix entries, verifier
 # word pairs, chaos samples or product factors.  A built matrix keeps about
 # 10 bytes per entry (a reference to a value shared by every entry with the
-# same reduced argument), and its int64 argument arrays peak near 50 bytes
-# per entry, ~210 MB at the budget (11 digits); a chaos run at the budget
-# holds two arrays of 32 MB.
+# same reduced argument), and its build peaks near 19 bytes per entry (the
+# int64 argument grid and its reduced copy), 74 MiB at the budget (11
+# digits); a chaos run at the budget holds two arrays of 32 MB.
 ITEM_BUDGET = 1 << 22
+
+# Elements reduce_arguments steps through at once.
+_REDUCE_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True, slots=True, order=True)
@@ -239,7 +244,7 @@ def reduce_arguments(numers: np.ndarray,
     applied to the elements still divisible by 2n.  The numerators only
     shrink, so an int64 array cannot overflow here; numerators past the
     int64 range go in an object array of Python ints, which runs the same
-    code.
+    code.  The input is left as it is.
     """
     import numpy as np
 
@@ -247,14 +252,19 @@ def reduce_arguments(numers: np.ndarray,
     reduced = np.array(numers)
     signs = np.ones(reduced.shape, dtype=np.int8)
     flat, flat_signs = reduced.reshape(-1), signs.reshape(-1)
-    active = np.flatnonzero((flat != 0) & (flat % base == 0))
-    while active.size:
-        numer = flat[active] // base
-        flat[active] = numer
-        residue = numer % 4
-        flat_signs[active[residue == 2]] *= -1
-        flat_signs[active[residue % 2 == 1]] = 0
-        active = active[numer % base == 0]
+    # a chunk at a time, so the temporaries of a step (at n = 2 every
+    # element is active at the first) stay small next to the output
+    for start in range(0, flat.size, _REDUCE_CHUNK):
+        part = flat[start:start + _REDUCE_CHUNK]
+        part_signs = flat_signs[start:start + _REDUCE_CHUNK]
+        active = np.flatnonzero((part != 0) & (part % base == 0))
+        while active.size:
+            numer = part[active] // base
+            part[active] = numer
+            residue = numer % 4
+            part_signs[active[residue == 2]] *= -1
+            part_signs[active[residue % 2 == 1]] = 0
+            active = active[numer % base == 0]
     return signs, reduced
 
 
@@ -301,6 +311,23 @@ def _cospi_reduced(r: float) -> float:
     if r < 1.75:
         return math.sin(math.pi * (r - 1.5))
     return math.cos(math.pi * (r - 2.0))
+
+
+def _cospi_many(r: np.ndarray) -> np.ndarray:
+    # _cospi_reduced over a float64 array: its branches and exact shifts in
+    # numpy, and the libm cos or sin per element, as the slop assumes libm
+    import numpy as np
+
+    shift = np.select([r <= 0.25, r < 0.75, r <= 1.25, r < 1.75],
+                      [0.0, 0.5, 1.0, 1.5], 2.0)
+    arg = math.pi * (r - shift)
+    sine = (shift == 0.5) | (shift == 1.5)
+    value = np.empty(len(r))
+    value[~sine] = list(map(math.cos, arg[~sine].tolist()))
+    value[sine] = list(map(math.sin, arg[sine].tolist()))
+    negated = (shift == 0.5) | (shift == 1.0)
+    value[negated] *= -1.0
+    return value
 
 
 def _cospi_ratio(num: int, den: int) -> tuple[float, float] | None:
@@ -393,6 +420,81 @@ def _product(numer: int, denom: int, base: int, terms: int,
     return prod, min(bound, 1.0 + abs(prod))
 
 
+def _products(numers: np.ndarray, base: int, terms: np.ndarray,
+              log_tail: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # _product at the quarter-integers numers / 4, over arrays: terms and
+    # log_tail are each key's.  The keys are reduced, positive and not
+    # divisible by base, so no factor lands on the grid {0, 1/2, 1, 3/2}
+    # (each grid point needs base | numer) and none is an exact zero.
+    # Every step is _product's: the integer phase on twice % (2 den) with
+    # one rounded division per factor (Python ints, element by element),
+    # the float phase from twice / den, the float operations of the bound
+    # in numpy in the same order, and each libm call per element, so every
+    # key gets the same bits.  numers is int64 only while 4 base numers
+    # fits it.
+    import numpy as np
+
+    twice = 2 * numers
+    prod = np.ones(len(numers))
+    err = np.zeros(len(numers))
+    # the float phase of each key: its first argument and factor count
+    y = np.zeros(len(numers))
+    left = np.zeros(len(numers), dtype=np.int64)
+    active = np.arange(len(numers))
+    den = 4
+    k = 0
+    while active.size:
+        den *= base
+        part = twice[active]
+        leaving = part < den
+        y[active[leaving]] = [x / den for x in part[leaving].tolist()]
+        left[active[leaving]] = terms[active[leaving]] - k
+        active, num = active[~leaving], part[~leaving] % (2 * den)
+        value = _cospi_many(np.array([x / den for x in num.tolist()]))
+        old = prod[active]
+        prod[active] = old * value
+        growth = np.abs(value) + _RATIO_FACTOR_ERR
+        err[active] = (0.5 * _EPS * np.abs(prod[active])
+                       + np.abs(old) * _RATIO_FACTOR_ERR
+                       + err[active] * np.where(growth < 1.0, growth, 1.0))
+        k += 1
+        active = active[terms[active] > k]
+    index = np.flatnonzero(left)
+    y, left = y[index], left[index]
+    y_err = 0.5 * _EPS * y
+    exact_division = base & (base - 1) == 0
+    while index.size:
+        # y <= 1/4 from the second factor on, as in _product
+        small = y <= 0.25
+        value = np.empty(len(y))
+        value[small] = list(map(math.cos, (math.pi * y[small]).tolist()))
+        if not small.all():
+            value[~small] = _cospi_many(y[~small])
+        factor_err = math.pi * y_err + _COSPI_SLOP
+        old = prod[index]
+        prod[index] = old * value
+        growth = np.abs(value) + factor_err
+        err[index] = (0.5 * _EPS * np.abs(prod[index]) + np.abs(old) * factor_err
+                      + err[index] * np.where(growth < 1.0, growth, 1.0))
+        y = y / base
+        y_err = y_err / base
+        if not exact_division:
+            y_err = y_err + 0.5 * _EPS * y
+        left -= 1
+        going = left > 0
+        index, y, y_err, left = index[going], y[going], y_err[going], left[going]
+    # _tail_bound, with math.exp only where log_s < 0 as there
+    log_s = log_tail - 2.0 * terms * math.log(float(base))
+    tail = np.full(len(numers), 2.0)
+    below = log_s < 0.0
+    exp = np.array(list(map(math.exp, log_s[below].tolist())))
+    tail[below] = exp * (1.0 + 1e-9)
+    tail = np.where(tail < 2.0, tail, 2.0)
+    bound = err + (np.abs(prod) + err) * tail
+    cap = 1.0 + np.abs(prod)
+    return prod, np.where(cap < bound, cap, bound)
+
+
 def mu_hat_product(
     t: QuarterInt | Fraction | float, params: BernoulliParams, terms: int
 ) -> MuHatValue:
@@ -450,36 +552,75 @@ def mu_hat(t: QuarterInt | Fraction | float, params: BernoulliParams,
     numer, denom = _ratio(t)
     sign = 1
     if 4 % denom == 0:
-        sign, t = reduce_argument(QuarterInt(numer * (4 // denom)), params)
+        sign, reduced = reduce_argument(QuarterInt(numer * (4 // denom)), params)
         if sign == 0:
             return MuHatValue.zero()
-        numer, denom = t.numerator, 4
-    if numer == 0:
-        return MuHatValue(False, 1, 1.0, 0.0)
-    terms = _terms_for(_log_tail(numer, denom, params.base), params.base, tol)
-    result = mu_hat_product(t, params, terms)
-    if not result.exact_zero and result.error_bound > tol:
-        result = mu_hat_product(t, params, 2 * terms)
-    if result.exact_zero:
-        return result
-    return MuHatValue(False, sign * result.sign, result.magnitude, result.error_bound)
+        numer, denom = reduced.numerator, 4
+    result = _tail(numer, denom, params.base, tol, tol)
+    if result is None:
+        return MuHatValue.zero()
+    prod, bound = result
+    return MuHatValue(False, sign * (-1 if prod < 0.0 else 1), abs(prod), bound)
 
 
-def _tail(numer: int, denom: int, base: int,
-          tol: float) -> tuple[float, float] | None:
+def _tail(numer: int, denom: int, base: int, tol: float,
+          size_tol: float) -> tuple[float, float] | None:
     # mu_hat at numer/denom without its integer reduction or its tracing:
-    # the walk sized for tol and retried at twice the length when its bound
-    # misses tol.  It is sized for min(tol, 1), which costs nothing a tol
-    # above 1 could ask for and keeps every zero factor inside the walk (a
-    # zero at factor j needs |x| >= base^j / 4).
+    # the walk sized to put its truncation part under size_tol, and retried
+    # at twice the length when its bound misses tol
     if numer == 0:
         return 1.0, 0.0
     log_tail = _log_tail(numer, denom, base)
-    terms = _terms_for(log_tail, base, min(tol, 1.0))
+    terms = _terms_for(log_tail, base, size_tol)
     result = _product(numer, denom, base, terms, log_tail)
     if result is not None and result[1] > tol:
         result = _product(numer, denom, base, 2 * terms, log_tail)
     return result
+
+
+def mu_hat_many(numers: np.ndarray, params: BernoulliParams,
+                tol: float = DEFAULT_TOL) -> list[MuHatValue]:
+    """mu_hat at the quarter-integers numers / 4, in one batched walk.
+
+    numers is a 1-D int64 array, or an object array of Python ints, and
+    element i of the result equals (==) mu_hat(QuarterInt(numers[i]),
+    params, tol), bit for bit: reduce_arguments takes the integer
+    reduction, and the certified walk of every key runs at once, with the
+    integer phase, the float operations and the libm calls of the scalar
+    walk (see _products).  A key takes the walk at twice the length only
+    when its own bound misses tol.
+    """
+    _check_tol(tol)
+    import numpy as np
+
+    base = params.base
+    signs, reduced = reduce_arguments(numers, params)
+    walked = np.flatnonzero((signs != 0) & (reduced != 0))
+    reduced = reduced[walked]
+    # the walk's integers reach 4 * base * |numer|; past int64, Python ints
+    limit = 2**61 // base
+    if reduced.dtype != object and reduced.size and not (
+            -limit < reduced.min() and reduced.max() < limit):
+        reduced = reduced.astype(object)
+    magnitudes = np.abs(reduced)
+    # _log_tail and _terms_for, with math.log per element as there
+    log_numer = np.array(list(map(math.log, magnitudes.tolist())))
+    log_tail = (math.log(2.0) + 2.0 * math.log(math.pi)
+                + 2.0 * (log_numer - math.log(4))
+                - math.log(float(base * base - 1)))
+    depth = (log_tail - math.log(tol / 2.0)) / (2.0 * math.log(float(base)))
+    terms = np.maximum(4, np.ceil(depth).astype(np.int64) + 2)
+    prod, bound = _products(magnitudes, base, terms, log_tail)
+    retry = np.flatnonzero(bound > tol)
+    if retry.size:
+        prod[retry], bound[retry] = _products(
+            magnitudes[retry], base, 2 * terms[retry], log_tail[retry])
+    zero, one = MuHatValue.zero(), MuHatValue(False, 1, 1.0, 0.0)
+    values = [zero if sign == 0 else one for sign in signs.tolist()]
+    for i, sign, p, b in zip(walked.tolist(), signs[walked].tolist(),
+                             prod.tolist(), bound.tolist()):
+        values[i] = MuHatValue(False, sign * (-1 if p < 0.0 else 1), abs(p), b)
+    return values
 
 
 def mu_hat_differences(
@@ -533,8 +674,11 @@ def mu_hat_differences(
         return None if factor is None else _times(*parent, *factor)
 
     def word(m: int, node: tuple[float, float] | None, den: int) -> MuHatValue:
+        # sized for min(tol, 1), which costs nothing a tol above 1 could
+        # ask for and keeps every zero factor inside the walk (a zero at
+        # factor j needs |x| >= base^j / 4)
         tail = None if node is None else _tail(
-            numer - step * points[m], den, base, tol)
+            numer - step * points[m], den, base, tol, min(tol, 1.0))
         if tail is None:
             return MuHatValue.zero()
         prod, err = _times(*node, *tail)

@@ -24,6 +24,7 @@ from bernspec.exact import (
     MuHatValue,
     QuarterInt,
     mu_hat,
+    mu_hat_many,
     reduce_arguments,
     reduce_numerator,
 )
@@ -68,10 +69,10 @@ class TruncatedMatrix:
 
         One reduce_arguments call takes the whole argument grid to its exact
         (sign, reduced) pairs; mu_hat(t) = sign * mu_hat(reduced) and the
-        certified walk sees only |reduced|, so mu_hat runs once per distinct
-        |reduced| and each entry is that value with the exact sign, equal to
-        the scalar mu_hat at its argument.  Entries of one value share one
-        object, every exact zero one MuHatValue.zero().
+        certified walk sees only |reduced|, so one mu_hat_many call walks
+        the distinct |reduced| together and each entry is its value with the
+        exact sign, equal to the scalar mu_hat at its argument.  Entries of
+        one value share one object, every exact zero one MuHatValue.zero().
         """
         p = params.require_p()
         check_budget(4**max_digits, "matrix entries", max_digits)
@@ -85,13 +86,17 @@ class TruncatedMatrix:
         signs, reduced = reduce_arguments(p * values - values[:, None], params)
         live = signs != 0
         keys, index = np.unique(np.abs(reduced[live]), return_inverse=True)
-        certified = [mu_hat(QuarterInt(int(key)), params, tol) for key in keys]
-        negated = [replace(v, sign=-v.sign) for v in certified]
-        # codes index [certified..., negated..., zero]
+        del reduced  # the grid is not needed past its keys
+        certified = mu_hat_many(keys, params, tol)
+        negated = [MuHatValue(v.exact_zero, -v.sign, v.magnitude, v.error_bound)
+                   for v in certified]
+        # codes index [certified..., negated..., zero]; the rows are made one
+        # at a time, so no object array of the whole grid is held
         shared = np.array(certified + negated + [MuHatValue.zero()], dtype=object)
-        codes = np.full(signs.shape, len(shared) - 1)
+        codes = np.full(signs.shape, len(shared) - 1, dtype=np.int32)
         codes[live] = index + len(keys) * (signs[live] < 0)
-        return cls(params, max_digits, order, words, shared[codes].tolist())
+        return cls(params, max_digits, order, words,
+                   [shared[row].tolist() for row in codes])
 
     def zero_mask(self) -> list[list[bool]]:
         return [[e.exact_zero for e in row] for row in self.entries]

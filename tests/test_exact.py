@@ -17,6 +17,7 @@ from bernspec.exact import (
     chaos_game_estimate,
     in_zero_set,
     mu_hat,
+    mu_hat_many,
     mu_hat_product,
     reduce_argument,
     reduce_arguments,
@@ -413,6 +414,46 @@ class TestMuHat:
         for x in (float("inf"), float("nan")):
             with pytest.raises(ValueError, match="finite"):
                 mu_hat(x, N2)
+
+
+@st.composite
+def walk_numerators(draw, base):
+    """reduction_numerators, plus numerators between 2^55 and 2^62, where
+    an int64 walk gives way to Python ints (at 2^61 / 2n), and ones whose
+    reduction takes a -1 step, (2n)^k (4m + 2)."""
+    k = draw(st.integers(1, 12))
+    sign = draw(st.sampled_from([-1, 1]))
+    return draw(st.one_of(
+        reduction_numerators(base),
+        st.integers(2**55, 2**62).map(lambda x: sign * x),
+        st.integers(-10**6, 10**6).map(lambda m: base**k * (4 * m + 2)),
+    ))
+
+
+class TestMuHatMany:
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_scalar_mu_hat(self, data):
+        # every field of every element == the scalar mu_hat, in an int64
+        # array and in an object array alike; at tol 1e-15 every walk misses
+        # its bound and takes the retry, at 1e3 none does
+        params = BernoulliParams(data.draw(st.integers(1, 7)))
+        numers = data.draw(st.lists(walk_numerators(params.base),
+                                    min_size=1, max_size=40))
+        dtype = data.draw(st.sampled_from([np.int64, object]))
+        if dtype is np.int64:
+            numers = [x for x in numers if abs(x) < 2**63] or [0]
+        tol = data.draw(st.sampled_from([1e-15, 1e-12, 1e3]))
+        values = mu_hat_many(np.array(numers, dtype=dtype), params, tol)
+        assert values == [mu_hat(QuarterInt(x), params, tol) for x in numers]
+
+    def test_empty(self):
+        assert mu_hat_many(np.array([], dtype=np.int64), N2) == []
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-12, math.inf, math.nan])
+    def test_rejects_bad_tol(self, tol):
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            mu_hat_many(np.array([5]), N2, tol=tol)
 
 
 # ---------------------------------------------------------------------------

@@ -76,7 +76,8 @@ class TestTruncatedMatrix:
         assert len(m.entries) == 8
         assert all(len(row) == 8 for row in m.entries)
 
-    @pytest.mark.parametrize("params", [N2P5, BernoulliParams(3, 5)])
+    @pytest.mark.parametrize("params", [N2P5, BernoulliParams(3, 5),
+                                        BernoulliParams(5, 3), BernoulliParams(6, 5)])
     @pytest.mark.parametrize("order", ["strata", "value"])
     def test_entries_equal_u_entry(self, params, order):
         m = TruncatedMatrix.build(params, 4, order=order)
