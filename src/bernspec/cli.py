@@ -40,10 +40,10 @@ from bernspec.matrixlab import (
 from bernspec.operators import parseval_table, verify_cuntz_relations
 from bernspec.report import CheckReport
 from bernspec.spectrum import (
-    enumerate_spectrum,
-    stratum_index,
-    word_to_bits,
-    word_value,
+    index_bits,
+    index_stratum,
+    point_numerators,
+    word_indices,
 )
 
 OUTPUT_DIR_ENV = "BERNSPEC_OUTPUT_DIR"
@@ -115,13 +115,10 @@ def cmd_muhat(args: argparse.Namespace) -> int:
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
     params = BernoulliParams(args.n)
-    lines = ["word,value,stratum"]
-    for w in enumerate_spectrum(params, args.max_digits, order=args.order):
-        stratum = stratum_index(w)
-        lines.append(
-            f"{word_to_bits(w)},{word_value(w, params)},"
-            f"{'' if stratum is None else stratum}"
-        )
+    numers = point_numerators(params, args.max_digits)
+    lines = ["word,value,stratum"] + [
+        f"{index_bits(m)},{QuarterInt(numers[m])},{index_stratum(m) if m else ''}"
+        for m in word_indices(args.max_digits, args.order)]
     text = "\n".join(lines) + "\n"
     if args.csv:
         _write("--csv", args.csv, lambda path: path.write_text(text))

@@ -29,22 +29,19 @@ from bernspec.exact import (
     reduce_numerator,
 )
 from bernspec.report import CheckReport
+# scale_minus, the argument of a matrix entry, is re-exported from here
 from bernspec.spectrum import (
     TILDE_ONE_POINT,
     Word,
     check_budget,
-    enumerate_spectrum,
+    index_bits,
+    index_stratum,
+    index_word,
     point_numerators,
-    stratum_index,
-    tilde_stratum_index,
+    scale_minus,
+    word_indices,
     word_to_bits,
-    word_value,
 )
-
-
-def scale_minus(row: Word, col: Word, params: BernoulliParams) -> QuarterInt:
-    """The argument p*col - row of the matrix entry at (row, col)."""
-    return params.require_p() * word_value(col, params) - word_value(row, params)
 
 
 @dataclass
@@ -54,8 +51,12 @@ class TruncatedMatrix:
     params: BernoulliParams
     max_digits: int
     order: str
-    words: list[Word]
+    indices: list[int]  # row and column i are the word of index indices[i]
     entries: list[list[MuHatValue]]
+
+    @property
+    def words(self) -> list[Word]:
+        return [index_word(m) for m in self.indices]
 
     @classmethod
     def build(
@@ -78,8 +79,9 @@ class TruncatedMatrix:
         check_budget(4**max_digits, "matrix entries", max_digits)
         import numpy as np
 
-        words = enumerate_spectrum(params, max_digits, order=order)
-        numers = [word_value(w, params).numerator for w in words]
+        indices = word_indices(max_digits, order)
+        numerators = point_numerators(params, max_digits)
+        numers = [numerators[m] for m in indices]
         # |p*col - row| <= (p + 1) * max numerator; past int64, Python ints
         dtype = np.int64 if (p + 1) * max(numers) < 2**62 else object
         values = np.array(numers, dtype=dtype)
@@ -95,14 +97,14 @@ class TruncatedMatrix:
         shared = np.array(certified + negated + [MuHatValue.zero()], dtype=object)
         codes = np.full(signs.shape, len(shared) - 1, dtype=np.int32)
         codes[live] = index + len(keys) * (signs[live] < 0)
-        return cls(params, max_digits, order, words,
+        return cls(params, max_digits, order, indices,
                    [shared[row].tolist() for row in codes])
 
     def zero_mask(self) -> list[list[bool]]:
         return [[e.exact_zero for e in row] for row in self.entries]
 
     def _stratum_keys(self) -> list[str]:
-        return ["zero-point" if not w else str(stratum_index(w)) for w in self.words]
+        return ["zero-point" if not m else str(index_stratum(m)) for m in self.indices]
 
     # -- serialization ----------------------------------------------------
 
@@ -110,7 +112,7 @@ class TruncatedMatrix:
         # the header, then one chunk of lines per matrix row; each distinct
         # value object is formatted once
         yield "row_word,col_word,exact_zero,sign,magnitude,error_bound\n"
-        bits = [word_to_bits(w) for w in self.words]
+        bits = [index_bits(m) for m in self.indices]
         cols = [f",{col}," for col in bits]
         fields: dict[int, str] = {}
         for row, entries in zip(bits, self.entries):
@@ -137,7 +139,7 @@ class TruncatedMatrix:
             "p": self.params.p,
             "max_digits": self.max_digits,
             "order": self.order,
-            "size": len(self.words),
+            "size": len(self.indices),
             "strata": strata,
             "blocks": [
                 {
@@ -152,7 +154,7 @@ class TruncatedMatrix:
 
     def to_pgm_bytes(self) -> bytes:
         # binary PGM: exact zeros black (0), everything else white (255)
-        size = len(self.words)
+        size = len(self.indices)
         header = f"P5\n{size} {size}\n255\n".encode("ascii")
         pixels = bytearray()
         for row in self.entries:
@@ -161,7 +163,7 @@ class TruncatedMatrix:
 
     def to_svg_text(self) -> str:
         cell = 12
-        size = len(self.words) * cell
+        size = len(self.indices) * cell
         parts = [
             f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
             f'height="{size}" viewBox="0 0 {size} {size}">',
@@ -216,16 +218,15 @@ class TruncatedMatrix:
 # structure verifiers
 
 
-def _at(first: str, first_word: Word, second: str, second_word: Word) -> str:
-    return (f"{first} {word_to_bits(first_word)!r}, "
-            f"{second} {word_to_bits(second_word)!r}")
+def _at(first: str, first_index: int, second: str, second_index: int) -> str:
+    return (f"{first} {index_bits(first_index)!r}, "
+            f"{second} {index_bits(second_index)!r}")
 
 
-# The pair verifiers run on the numerators 4 * gamma of point_numerators, in
-# counting order, and compare reduce_numerator's exact (sign, reduced) pairs;
-# a sign 0 marks the zero set.  A shifted word is looked up by its index:
-# prepending k zeros to word m gives word m << k, and a leading 1 gives word
-# 2m + 1.
+# The pair verifiers hold each word as its index m and run on the numerators
+# 4 * gamma of point_numerators, and compare reduce_numerator's exact (sign,
+# reduced) pairs; a sign 0 marks the zero set.  Prepending k zeros to word m
+# gives word m << k, and a leading 1 gives word 2m + 1.
 
 
 def verify_block_diagonal(params: BernoulliParams, max_digits: int) -> CheckReport:
@@ -239,9 +240,8 @@ def verify_block_diagonal(params: BernoulliParams, max_digits: int) -> CheckRepo
         f"digits<={max_digits})")
     check_budget(4**max_digits, "word pairs", max_digits)
     p, base = params.require_p(), params.base
-    words = [(w, numer, stratum_index(w)) for w, numer in zip(
-        enumerate_spectrum(params, max_digits),
-        point_numerators(params, max_digits))]
+    words = [(m, numer, index_stratum(m))
+             for m, numer in enumerate(point_numerators(params, max_digits))]
     checked = 0
     for col, col_numer, col_stratum in words:
         scaled = p * col_numer
@@ -271,11 +271,10 @@ def verify_block_equality(
         raise ValueError("k_max must be >= 1")
     check_budget(4**max_digits, "word pairs", max_digits)
     p, base = params.require_p(), params.base
-    words = enumerate_spectrum(params, max_digits)
     numers = point_numerators(params, max_digits)
     for k in range(1, k_max + 1):
         # the stratum-0 words m (odd) whose shift m << k is in the truncation
-        shared = [(words[m], numers[m], numers[m << k])
+        shared = [(m, numers[m], numers[m << k])
                   for m in range(1, len(numers) >> k, 2)]
         report.checked += len(shared) ** 2
         failure = f"stratum-{k} entry differs from stratum-0"
@@ -302,13 +301,12 @@ def verify_commutation_even(params: BernoulliParams, max_digits: int) -> CheckRe
         f"digits<={max_digits})")
     check_budget(4**max_digits, "word pairs", max_digits)
     p, base = params.require_p(), params.base
-    words = enumerate_spectrum(params, max_digits)
     numers = point_numerators(params, max_digits)
     # gamma and xi have at most max_digits - 1 digits; the isometry maps
     # word m to word 2m
-    inner = [(words[m], numers[m], numers[2 * m])
+    inner = [(m, numers[m], numers[2 * m])
              for m in range(1 << max(0, max_digits - 1))]
-    odd_range = list(zip(words[1::2], numers[1::2]))
+    odd_range = list(enumerate(numers))[1::2]
     report.checked = len(inner) * (len(inner) + len(odd_range))
     for g, g_numer, g_shifted in inner:
         scaled, shifted = p * g_numer, p * g_shifted
@@ -332,6 +330,12 @@ def verify_odd_twisted_relations(
     sign and the mixed ones flip when the column word starts with 0; the
     roles swap when it starts with 1.  Each claimed sign relation is
     checked as an exact (sign, reduced argument) identity.
+
+    The even-range flip for gamma starting with 1 cannot be observed: there
+    4 gamma = 2n (1 + 4 gamma') and every point numerator is a multiple of
+    2n, so 4 (p gamma - xi_even) = 2n (p + 2n k) with p + 2n k odd.  One
+    reduction step leaves an odd numerator, so both sides of the relation
+    lie in the zero set and reduce to sign 0.
     """
     if params.n % 2 == 0:
         raise ValueError("twisted relations need odd n")
@@ -340,14 +344,14 @@ def verify_odd_twisted_relations(
         f"digits<={max_digits})")
     check_budget(4**max_digits, "word pairs", max_digits)
     p, base = params.require_p(), params.base
-    words = enumerate_spectrum(params, max_digits)
+    words = word_indices(max_digits)  # also rejects max_digits < 0
     # xi = word x has the even-range word 2x and the mixed-range word
     # 2x + 1, shifted to 4x and 4x + 2: two digits past max_digits
     numers = point_numerators(params, max_digits + 2)
-    ranges = [(xi, numers[2 * x], numers[4 * x], numers[2 * x + 1],
-               numers[4 * x + 2]) for x, xi in enumerate(words)]
+    ranges = [(x, numers[2 * x], numers[4 * x], numers[2 * x + 1],
+               numers[4 * x + 2]) for x in words]
     report.checked = 2 * len(words) ** 2
-    for g, gamma in enumerate(words):
+    for g in words:
         # gamma empty or starting with 0
         keeps_sign_on_even = g % 2 == 0
         scaled, shifted = p * numers[g], p * numers[2 * g]
@@ -356,12 +360,12 @@ def verify_odd_twisted_relations(
             if reduce_numerator(shifted - even_shifted, base) != (
                     sign if keeps_sign_on_even else -sign, reduced):
                 report.add("even-range sign relation fails at "
-                           + _at("gamma", gamma, "xi", xi))
+                           + _at("gamma", g, "xi", xi))
             sign, reduced = reduce_numerator(scaled - mixed, base)
             if reduce_numerator(shifted - mixed_shifted, base) != (
                     -sign if keeps_sign_on_even else sign, reduced):
                 report.add("mixed-range sign relation fails at "
-                           + _at("gamma", gamma, "xi", xi))
+                           + _at("gamma", g, "xi", xi))
     return report
 
 
@@ -384,10 +388,9 @@ def verify_multiplication_identity(
         raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
     check_budget(4**max_digits, "word pairs", max_digits)
     base = params.base
-    words = enumerate_spectrum(params, max_digits)
     numers = point_numerators(params, max_digits)
     # the stratum-0 word 2m + 1 is a leading 1 over the inner word m
-    stratum0 = [(words[2 * m + 1], numers[m], numers[2 * m + 1])
+    stratum0 = [(2 * m + 1, numers[m], numers[2 * m + 1])
                 for m in range(len(numers) >> 1)]
     report.checked = len(stratum0) ** 2
     zero = MuHatValue.zero()
@@ -500,15 +503,15 @@ def analyze_w0_sparsity(
         + ")")
     check_budget(4**max_digits, "word pairs", max_digits)
     base = params.base
-    classes: dict[int | str, list[tuple[Word, int]]] = {}
-    for w, numer in zip(enumerate_spectrum(params, max_digits),
-                        point_numerators(params, max_digits)):
-        if not w or w[0] != 1:
+    classes: dict[int | str, list[tuple[int, int]]] = {}
+    for m, numer in enumerate(point_numerators(params, max_digits)):
+        if m % 2 == 0:  # not in stratum 0
             continue
-        label = tilde_stratum_index(w, params)
+        # the gap class (tilde_stratum_index) is the stratum of word m >> 1
+        label = TILDE_ONE_POINT if m == 1 else index_stratum(m >> 1)
         if tilde_max is not None and isinstance(label, int) and label > tilde_max:
             continue
-        classes.setdefault(label, []).append((w, numer))
+        classes.setdefault(label, []).append((m, numer))
     ordered = sorted(classes, key=lambda c: -1 if c == TILDE_ONE_POINT else c)
     blocks = []
     for row_class in ordered:
@@ -528,9 +531,9 @@ def analyze_w0_sparsity(
                         continue
                     nonzero += 1
                     if witness is None:
-                        witness = (row, col)
+                        witness = (index_word(row), index_word(col))
                     if exact_one is None and argument == 0:
-                        exact_one = (row, col)
+                        exact_one = (index_word(row), index_word(col))
             if expected_zero and nonzero:
                 check.add(
                     f"expected-zero block ({row_class}, {col_class}) has "

@@ -61,10 +61,8 @@ def parse_word(text: str) -> Word:
     return word
 
 
-def enumerate_spectrum(
-    params: BernoulliParams, max_digits: int, order: str = "value"
-) -> list[Word]:
-    """All spectrum words of length <= max_digits, in a deterministic order.
+def word_indices(max_digits: int, order: str = "value") -> list[int]:
+    """The indices m < 2^max_digits of all words of length <= max_digits.
 
     Word m holds the binary digits of m, and with 0/1 digits the top
     differing digit decides, so counting order is value order in every base
@@ -79,13 +77,33 @@ def enumerate_spectrum(
     check_budget(2**max_digits, "words", max_digits)
     indices = list(range(1 << max_digits))
     if order == "strata":
-        # a stable sort on the trailing-zero count, which is -1 for m = 0
-        indices.sort(key=lambda m: (m & -m).bit_length() - 1)
-    return [tuple((m >> i) & 1 for i in range(m.bit_length())) for m in indices]
+        indices.sort(key=index_stratum)  # stable, and -1 for m = 0
+    return indices
+
+
+def enumerate_spectrum(params: BernoulliParams, max_digits: int,
+                       order: str = "value") -> list[Word]:
+    """All spectrum words of length <= max_digits: the tuples of word_indices."""
+    return [index_word(m) for m in word_indices(max_digits, order)]
+
+
+def index_stratum(m: int) -> int:
+    """stratum_index of word m, its trailing-zero count; -1 for the zero word."""
+    return (m & -m).bit_length() - 1
+
+
+def index_bits(m: int) -> str:
+    """word_to_bits of word m: the binary digits of m, low digit first."""
+    return f"{m:b}"[::-1] if m else ""
+
+
+def index_word(m: int) -> Word:
+    """The digit tuple of word m."""
+    return tuple((m >> i) & 1 for i in range(m.bit_length()))
 
 
 def point_numerators(params: BernoulliParams, max_digits: int) -> list[int]:
-    """4 * word_value of every word of enumerate_spectrum(params, max_digits).
+    """4 * word_value of word m, for every m < 2^max_digits.
 
     In value order, word m + 2^k (m < 2^k) is word m plus the digit
     (n/2)(2n)^k, so the list doubles once per digit and visits no word.
@@ -108,9 +126,7 @@ def stratum_index(word: Word) -> int | None:
     points gamma, which is exactly the words starting with k zero bits.
     """
     check_word(word)
-    if not word:
-        return None
-    return word.index(1)
+    return word.index(1) if word else None
 
 
 def tilde_stratum_index(word: Word, params: BernoulliParams) -> int | str:
@@ -134,3 +150,8 @@ def tilde_stratum_index(word: Word, params: BernoulliParams) -> int | str:
 def scale_value(word: Word, params: BernoulliParams) -> QuarterInt:
     """The spectrum point scaled by p."""
     return params.require_p() * word_value(word, params)
+
+
+def scale_minus(row: Word, col: Word, params: BernoulliParams) -> QuarterInt:
+    """The argument p*col - row of the operator matrix entry at (row, col)."""
+    return scale_value(col, params) - word_value(row, params)

@@ -13,6 +13,12 @@ from bernspec.cli import main, parse_frequency
 from bernspec.exact import BernoulliParams, QuarterInt
 from bernspec.matrixlab import TruncatedMatrix
 from bernspec.report import CheckReport
+from bernspec.spectrum import (
+    enumerate_spectrum,
+    stratum_index,
+    word_to_bits,
+    word_value,
+)
 
 # 401 digits: past the float range, so float(t) would overflow
 HUGE_INTEGER = str(10**400 + 7)
@@ -128,6 +134,19 @@ class TestSpectrum:
                      "--csv", "sub/words.csv"]) == 0
         assert target.read_bytes() == first
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("order", ["value", "strata"])
+    def test_listing_equals_tuple_reference(self, n, order, capsys):
+        params = BernoulliParams(n)
+        for d in range(7):
+            assert main(["spectrum", "--n", str(n), "--max-digits", str(d),
+                         "--order", order]) == 0
+            expected = ["word,value,stratum"] + [
+                f"{word_to_bits(w)},{word_value(w, params)},"
+                f"{'' if stratum_index(w) is None else stratum_index(w)}"
+                for w in enumerate_spectrum(params, d, order)]
+            assert capsys.readouterr().out.splitlines() == expected
+
     def test_half_integer_values_for_odd_n(self, capsys):
         assert main(["spectrum", "--n", "3", "--max-digits", "2"]) == 0
         out = capsys.readouterr().out
@@ -158,7 +177,8 @@ class TestMatrix:
     ])
     def test_oversized_request_rejected(self, argv, count, monkeypatch, capsys):
         # rejected on the projected count, before the matrix lists its words
-        monkeypatch.setattr(matrixlab, "enumerate_spectrum", None)
+        # or their numerators
+        monkeypatch.setattr(matrixlab, "point_numerators", None)
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -189,8 +209,9 @@ class TestVerify:
         "multiplication", "w0-sparsity",
     ])
     def test_oversized_request_rejected(self, suite, monkeypatch, capsys):
-        # rejected on the projected pair count, before any word is listed
-        monkeypatch.setattr(matrixlab, "enumerate_spectrum", None)
+        # rejected on the projected pair count, before any word or
+        # numerator is listed
+        monkeypatch.setattr(matrixlab, "point_numerators", None)
         assert main(["verify", suite, "--max-digits", "12"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -249,6 +270,14 @@ class TestVerify:
         assert captured.out == ""
         assert (f"verify {argv[1]} made 0 checks: --max-digits {argv[3]} "
                 "is too small") in captured.err
+
+    @pytest.mark.parametrize("suite", cli.VERIFY_SUITES)
+    def test_negative_depth_rejected(self, suite, capsys):
+        assert main(["verify", suite, "--max-digits", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        least = 1 if suite == "multiplication" else 0
+        assert captured.err == f"error: max_digits must be >= {least}\n"
 
     def test_all_runs_the_pinned_battery(self, capsys):
         assert main(["verify", "all"]) == 0

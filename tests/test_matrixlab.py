@@ -12,6 +12,7 @@ from bernspec.exact import (
     in_zero_set,
     mu_hat,
     reduce_argument,
+    reduce_numerator,
 )
 from bernspec.matrixlab import (
     TruncatedMatrix,
@@ -28,6 +29,7 @@ from bernspec.operators import prepend_one, prepend_zero
 from bernspec.spectrum import (
     TILDE_ONE_POINT,
     enumerate_spectrum,
+    point_numerators,
     stratum_index,
     tilde_stratum_index,
     word_to_bits,
@@ -81,6 +83,7 @@ class TestTruncatedMatrix:
     @pytest.mark.parametrize("order", ["strata", "value"])
     def test_entries_equal_u_entry(self, params, order):
         m = TruncatedMatrix.build(params, 4, order=order)
+        assert m.words == enumerate_spectrum(params, 4, order)
         for row, entries in zip(m.words, m.entries):
             for col, entry in zip(m.words, entries):
                 assert entry == u_entry(row, col, params)
@@ -275,6 +278,24 @@ class TestOddTwistedRelations:
                 if even_shift != (-even[0], even[1]):
                     mismatches += 1
         assert mismatches > 0
+
+    @pytest.mark.parametrize("n", [1, 3, 5])
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_even_range_flip_is_unobservable(self, n, p):
+        # for gamma starting with 1 (odd g) the plain even-range argument is
+        # 2n times an odd numerator and the shifted one 2n times the plain,
+        # so both reduce to sign 0 and the relation holds with and without
+        # its sign flip
+        base, digits = 2 * n, 5
+        numers = point_numerators(BernoulliParams(n, p), digits + 2)
+        for g in range(1, 1 << digits, 2):
+            for x in range(1 << digits):
+                plain = p * numers[g] - numers[2 * x]
+                shifted = p * numers[2 * g] - numers[4 * x]
+                assert plain % base == 0 and (plain // base) % 2 == 1
+                assert shifted == base * plain
+                assert reduce_numerator(plain, base) == (0, plain // base)
+                assert reduce_numerator(shifted, base) == (0, plain // base)
 
 
 class TestMultiplicationIdentity:
