@@ -184,8 +184,7 @@ VERIFY_SUITES = {suite.name: suite for suite in (
           {"n": 2, "p": None, "max_digits": 5}, ({}, {"n": 4})),
     Suite("commute-odd", "verify_odd_twisted_relations",
           {"n": 3, "p": None, "max_digits": 4}, ({}, {"p": 5})),
-    Suite("multiplication", "verify_multiplication_identity",
-          {"max_digits": 6, "tol": 1e-6}),
+    Suite("multiplication", "verify_multiplication_identity", {"max_digits": 6}),
     Suite("w0-sparsity", "verify_w0_sparsity",
           {"max_digits": 6, "tilde_max": None, "require_witnesses": False},
           ({"max_digits": 7, "tilde_max": 4, "require_witnesses": True},)),
@@ -327,8 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--max-digits", type=int, default=None)
     p_verify.add_argument("--k-max", type=int, default=None)
     p_verify.add_argument("--tilde-max", type=int, default=None)
-    p_verify.add_argument("--tol", type=float, default=None,
-                          help="numeric match tolerance (multiplication)")
     p_verify.add_argument("--require-witnesses", action="store_true",
                           default=None,
                           help="w0-sparsity: demand a nonzero witness in "

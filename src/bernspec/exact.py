@@ -44,11 +44,11 @@ _RATIO_FACTOR_ERR = math.pi * 2.0 ** -52 + _COSPI_SLOP
 DEFAULT_TOL = 1e-12
 
 # Most items one request may hold: spectrum words, matrix entries, verifier
-# word pairs, chaos samples or product factors.  A built matrix keeps about
-# 10 bytes per entry (a reference to a value shared by every entry with the
-# same reduced argument), and its build peaks near 19 bytes per entry (the
-# int64 argument grid and its reduced copy), 74 MiB at the budget (11
-# digits); a chaos run at the budget holds two arrays of 32 MB.
+# word pairs, chaos samples or product factors.  A built matrix keeps 4
+# bytes per entry (an int32 code into its table of distinct values) plus the
+# table, and its build peaks near 19 bytes per entry (the int64 argument grid
+# and its reduced copy), 74 MiB at the budget (11 digits); a chaos run at the
+# budget holds two arrays of 32 MB.
 ITEM_BUDGET = 1 << 22
 
 # Elements reduce_arguments steps through at once.

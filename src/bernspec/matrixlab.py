@@ -3,27 +3,22 @@
 Rows and columns are indexed by spectrum words; the entry at (row, col) is
 the transform evaluated at p*col - row.  Ordering the words by strata makes
 the matrix block diagonal, each stratum block a shifted copy of the
-stratum-0 block; every structural statement here is verified either purely
-in integer arithmetic (zero-set membership, argument reduction) or with
-certified numerics.
+stratum-0 block; every structural statement here is verified in integer
+arithmetic alone (zero-set membership, argument reduction).
 """
 
 from __future__ import annotations
 
 import json
-import math
-from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from bernspec.exact import (
     DEFAULT_TOL,
     BernoulliParams,
     MuHatValue,
-    QuarterInt,
-    mu_hat,
     mu_hat_many,
     reduce_arguments,
     reduce_numerator,
@@ -43,20 +38,33 @@ from bernspec.spectrum import (
     word_to_bits,
 )
 
+if TYPE_CHECKING:
+    import numpy as np
 
-@dataclass
+
+@dataclass(eq=False)
 class TruncatedMatrix:
-    """The operator matrix over all words of length at most max_digits."""
+    """The operator matrix over all words of length at most max_digits.
+
+    Entry (i, j) is values[codes[i, j]]; code 0 is the exact zero.  codes
+    is an array, so matrices compare by identity.
+    """
 
     params: BernoulliParams
     max_digits: int
     order: str
     indices: list[int]  # row and column i are the word of index indices[i]
-    entries: list[list[MuHatValue]]
+    codes: np.ndarray  # int32, one code per entry
+    values: list[MuHatValue]  # the distinct entries, each taken by some entry
 
     @property
     def words(self) -> list[Word]:
         return [index_word(m) for m in self.indices]
+
+    @property
+    def entries(self) -> list[list[MuHatValue]]:
+        values = self.values
+        return [[values[code] for code in row] for row in self.codes.tolist()]
 
     @classmethod
     def build(
@@ -72,8 +80,9 @@ class TruncatedMatrix:
         (sign, reduced) pairs; mu_hat(t) = sign * mu_hat(reduced) and the
         certified walk sees only |reduced|, so one mu_hat_many call walks
         the distinct |reduced| together and each entry is its value with the
-        exact sign, equal to the scalar mu_hat at its argument.  Entries of
-        one value share one object, every exact zero one MuHatValue.zero().
+        exact sign, equal to the scalar mu_hat at its argument.  The matrix
+        keeps an int32 code per entry and one table of the values the
+        entries take: a key seen with one sign holds one value.
         """
         p = params.require_p()
         check_budget(4**max_digits, "matrix entries", max_digits)
@@ -84,24 +93,28 @@ class TruncatedMatrix:
         numers = [numerators[m] for m in indices]
         # |p*col - row| <= (p + 1) * max numerator; past int64, Python ints
         dtype = np.int64 if (p + 1) * max(numers) < 2**62 else object
-        values = np.array(numers, dtype=dtype)
-        signs, reduced = reduce_arguments(p * values - values[:, None], params)
+        grid = np.array(numers, dtype=dtype)
+        signs, reduced = reduce_arguments(p * grid - grid[:, None], params)
         live = signs != 0
         keys, index = np.unique(np.abs(reduced[live]), return_inverse=True)
         del reduced  # the grid is not needed past its keys
         certified = mu_hat_many(keys, params, tol)
-        negated = [MuHatValue(v.exact_zero, -v.sign, v.magnitude, v.error_bound)
-                   for v in certified]
-        # codes index [certified..., negated..., zero]; the rows are made one
-        # at a time, so no object array of the whole grid is held
-        shared = np.array(certified + negated + [MuHatValue.zero()], dtype=object)
-        codes = np.full(signs.shape, len(shared) - 1, dtype=np.int32)
-        codes[live] = index + len(keys) * (signs[live] < 0)
-        return cls(params, max_digits, order, indices,
-                   [shared[row].tolist() for row in codes])
+        # slot k is key k, slot len(keys) + k its negation; the slots some
+        # entry takes are numbered from 1 in slot order
+        slots = index + len(keys) * (signs[live] < 0)
+        taken = np.zeros(2 * len(keys), dtype=bool)
+        taken[slots] = True
+        codes = np.zeros(signs.shape, dtype=np.int32)
+        codes[live] = np.cumsum(taken, dtype=np.int32)[slots]
+        values = [MuHatValue.zero()]
+        for slot in np.flatnonzero(taken).tolist():
+            v = certified[slot % len(keys)]
+            values.append(v if slot < len(keys) else MuHatValue(
+                v.exact_zero, -v.sign, v.magnitude, v.error_bound))
+        return cls(params, max_digits, order, indices, codes, values)
 
     def zero_mask(self) -> list[list[bool]]:
-        return [[e.exact_zero for e in row] for row in self.entries]
+        return (self.codes == 0).tolist()
 
     def _stratum_keys(self) -> list[str]:
         return ["zero-point" if not m else str(index_stratum(m)) for m in self.indices]
@@ -109,31 +122,29 @@ class TruncatedMatrix:
     # -- serialization ----------------------------------------------------
 
     def _csv_rows(self) -> Iterator[str]:
-        # the header, then one chunk of lines per matrix row; each distinct
-        # value object is formatted once
+        # the header, then one chunk of lines per matrix row; each table
+        # value is formatted once
         yield "row_word,col_word,exact_zero,sign,magnitude,error_bound\n"
+        fields = [f"{int(e.exact_zero)},{0 if e.exact_zero else e.sign},"
+                  f"{e.magnitude!r},{e.error_bound!r}\n" for e in self.values]
         bits = [index_bits(m) for m in self.indices]
         cols = [f",{col}," for col in bits]
-        fields: dict[int, str] = {}
-        for row, entries in zip(bits, self.entries):
+        for row, codes in zip(bits, self.codes.tolist()):
             parts = []
-            for col, e in zip(cols, entries):
-                text = fields.get(id(e))
-                if text is None:
-                    sign = 0 if e.exact_zero else e.sign
-                    text = fields[id(e)] = (f"{int(e.exact_zero)},{sign},"
-                                            f"{e.magnitude!r},{e.error_bound!r}\n")
-                parts += (row, col, text)
+            for col, code in zip(cols, codes):
+                parts += (row, col, fields[code])
             yield "".join(parts)
 
     def to_csv_text(self) -> str:
         return "".join(self._csv_rows())
 
     def to_json_obj(self) -> dict:
-        keys = self._stratum_keys()
-        strata = {key: keys.count(key) for key in dict.fromkeys(keys)}
-        nonzero = Counter((rk, ck) for rk, entries in zip(keys, self.entries)
-                          for ck, e in zip(keys, entries) if not e.exact_zero)
+        import numpy as np
+
+        positions: dict[str, list[int]] = {}
+        for i, key in enumerate(self._stratum_keys()):
+            positions.setdefault(key, []).append(i)
+        strata = {key: len(rows) for key, rows in positions.items()}
         return {
             "n": self.params.n,
             "p": self.params.p,
@@ -146,7 +157,8 @@ class TruncatedMatrix:
                     "row_stratum": rk,
                     "col_stratum": ck,
                     "entries": strata[rk] * strata[ck],
-                    "nonzero": nonzero[rk, ck],
+                    "nonzero": int(np.count_nonzero(
+                        self.codes[np.ix_(positions[rk], positions[ck])])),
                 }
                 for rk, ck in sorted(product(strata, strata))
             ],
@@ -154,12 +166,11 @@ class TruncatedMatrix:
 
     def to_pgm_bytes(self) -> bytes:
         # binary PGM: exact zeros black (0), everything else white (255)
+        import numpy as np
+
         size = len(self.indices)
         header = f"P5\n{size} {size}\n255\n".encode("ascii")
-        pixels = bytearray()
-        for row in self.entries:
-            pixels.extend(0 if e.exact_zero else 255 for e in row)
-        return header + bytes(pixels)
+        return header + (np.uint8(255) * (self.codes != 0)).tobytes()
 
     def to_svg_text(self) -> str:
         cell = 12
@@ -169,9 +180,9 @@ class TruncatedMatrix:
             f'height="{size}" viewBox="0 0 {size} {size}">',
             f'<rect width="{size}" height="{size}" fill="white"/>',
         ]
-        for i, row in enumerate(self.entries):
-            for j, e in enumerate(row):
-                if not e.exact_zero:
+        for i, row in enumerate(self.codes.tolist()):
+            for j, code in enumerate(row):
+                if code:
                     parts.append(
                         f'<rect x="{j * cell}" y="{i * cell}" width="{cell}" '
                         f'height="{cell}" fill="#1f3b73"/>'
@@ -369,23 +380,19 @@ def verify_odd_twisted_relations(
     return report
 
 
-def verify_multiplication_identity(
-    max_digits: int, tol: float = 1e-6
-) -> CheckReport:
+def verify_multiplication_identity(max_digits: int) -> CheckReport:
     """Stratum-0 entries equal the transform at 1 + 5*gamma - xi (n=2, p=5).
 
     With stratum-0 words written as a leading 1 over inner words gamma, xi,
-    the entry argument 5*col - row is exactly 4*(1 + 5*gamma - xi), so both
-    sides must have identical reductions; matched nonzero entries are also
-    compared numerically within tol.  As in TruncatedMatrix.build, mu_hat
-    runs once per distinct |reduced| off the zero set.
+    the entry argument 5*col - row is exactly 4*(1 + 5*gamma - xi), and
+    mu_hat(4x) = cos(2 pi x) mu_hat(x) = mu_hat(x) for integer x.  Both
+    sides must have identical (sign, reduced) pairs, which forces equal
+    transform values exactly, since mu_hat(t) = sign * mu_hat(reduced).
     """
     params = BernoulliParams(2, 5)
     report = CheckReport(f"multiplication(n=2, p=5, digits<={max_digits})")
     if max_digits < 1:
         raise ValueError("max_digits must be >= 1")
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
     check_budget(4**max_digits, "word pairs", max_digits)
     base = params.base
     numers = point_numerators(params, max_digits)
@@ -393,34 +400,13 @@ def verify_multiplication_identity(
     stratum0 = [(2 * m + 1, numers[m], numers[2 * m + 1])
                 for m in range(len(numers) >> 1)]
     report.checked = len(stratum0) ** 2
-    zero = MuHatValue.zero()
-    certified: dict[int, tuple[MuHatValue, MuHatValue]] = {}
-
-    def value(sign: int, reduced: int) -> MuHatValue:
-        # mu_hat at sign * reduced / 4: the walk sees only |reduced|
-        if sign == 0:
-            return zero
-        pair = certified.get(abs(reduced))
-        if pair is None:
-            v = mu_hat(QuarterInt(abs(reduced)), params)
-            pair = certified[abs(reduced)] = (v, replace(v, sign=-v.sign))
-        return pair[sign < 0]
-
     for col, gamma, col_numer in stratum0:
         # 4 * (1 + 5 gamma) and 4 * (5 col)
         shifted, scaled = 4 + 5 * gamma, 5 * col_numer
         for row, xi, row_numer in stratum0:
-            entry = reduce_numerator(scaled - row_numer, base)
-            identity = reduce_numerator(shifted - xi, base)
-            if entry != identity:
+            if (reduce_numerator(scaled - row_numer, base)
+                    != reduce_numerator(shifted - xi, base)):
                 report.add("reductions differ at " + _at("row", row, "col", col))
-                continue
-            lhs, rhs = value(*entry), value(*identity)
-            if lhs.exact_zero != rhs.exact_zero:
-                report.add("zero flags differ at " + _at("row", row, "col", col))
-            elif abs(lhs.value - rhs.value) > tol:
-                report.add(f"values differ beyond {tol} at "
-                           + _at("row", row, "col", col))
     return report
 
 

@@ -14,12 +14,11 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from bernspec.exact import (
     DEFAULT_TOL,
     BernoulliParams,
-    MuHatValue,
     QuarterInt,
     mu_hat_differences,
 )
@@ -149,19 +148,6 @@ class CoeffVector:
         }
 
 
-def _coefficients(
-    t: QuarterInt | float,
-    params: BernoulliParams,
-    max_digits: int,
-    scale: int,
-    tol: float,
-) -> Iterator[MuHatValue]:
-    # the transform at t - scale * gamma over the truncation in counting
-    # order, from one walk of the digit tree
-    return mu_hat_differences(
-        t, params, point_numerators(params, max_digits), scale, tol)
-
-
 def expand_exponential(
     t: QuarterInt | float,
     params: BernoulliParams,
@@ -177,7 +163,8 @@ def expand_exponential(
     coefficients: dict[Word, float] = {}
     error_bounds: dict[Word, float] = {}
     for w, c in zip(enumerate_spectrum(params, max_digits),
-                    _coefficients(t, params, max_digits, 1, tol)):
+                    mu_hat_differences(
+                        t, params, point_numerators(params, max_digits), 1, tol)):
         if not c.exact_zero:
             coefficients[w], error_bounds[w] = c.value, c.error_bound
     accounted = sum(c * c for c in coefficients.values())
@@ -213,7 +200,8 @@ def parseval_table(
     total = 0.0
     err = 0.0
     for index, c in enumerate(
-            _coefficients(t, params, max_digits, scale, tol)):
+            mu_hat_differences(t, params, point_numerators(params, max_digits),
+                               scale, tol)):
         if not c.exact_zero:
             coeff, coeff_err = c.value, c.error_bound
             total += coeff * coeff
