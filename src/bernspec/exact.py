@@ -579,30 +579,42 @@ def _tail(numer: int, denom: int, base: int, tol: float,
 
 
 def mu_hat_many(numers: np.ndarray, params: BernoulliParams,
-                tol: float = DEFAULT_TOL) -> list[MuHatValue]:
-    """mu_hat at the quarter-integers numers / 4, in one batched walk.
+                tol: float = DEFAULT_TOL) -> tuple[np.ndarray, list[MuHatValue]]:
+    """mu_hat at the quarter-integers numers / 4, as codes into a value table.
 
-    numers is a 1-D int64 array, or an object array of Python ints, and
-    element i of the result equals (==) mu_hat(QuarterInt(numers[i]),
-    params, tol), bit for bit: reduce_arguments takes the integer
-    reduction, and the certified walk of every key runs at once, with the
-    integer phase, the float operations and the libm calls of the scalar
-    walk (see _products).  A key takes the walk at twice the length only
-    when its own bound misses tol.
+    numers is an int64 array, or an object array of Python ints, of any
+    shape.  Returns (codes, values): an int32 array of that shape and the
+    distinct values, with values[codes[i]] equal (==) to
+    mu_hat(QuarterInt(numers[i]), params, tol), bit for bit.  Code 0 is the
+    exact zero, and every other value is taken by some element.  One
+    reduce_arguments call gives each element (sign, reduced); mu_hat is
+    even and mu_hat(t) = sign * mu_hat(|reduced|), so the signed key
+    sign * |reduced| names each value.  The certified walk of each distinct
+    |reduced| runs once, all of them together, with the integer phase, the
+    float operations and the libm calls of the scalar walk (see _products).
+    A key takes the walk at twice the length only when its own bound misses
+    tol.  Nothing here keeps numers past its reduction, so an array passed
+    as a temporary is freed there.
     """
     _check_tol(tol)
     import numpy as np
 
     base = params.base
     signs, reduced = reduce_arguments(numers, params)
-    walked = np.flatnonzero((signs != 0) & (reduced != 0))
-    reduced = reduced[walked]
+    del numers
+    live = signs != 0
+    keys = np.abs(reduced[live])
+    del reduced
+    np.negative(keys, out=keys, where=signs[live] < 0)
+    keys, index = np.unique(keys, return_inverse=True)
+    magnitudes, key_magnitude = np.unique(np.abs(keys), return_inverse=True)
+    # argument 0 is the one key off the walk: mu_hat(0) = 1 exactly
+    skip = int(magnitudes.size > 0 and magnitudes[0] == 0)
+    magnitudes = magnitudes[skip:]
     # the walk's integers reach 4 * base * |numer|; past int64, Python ints
-    limit = 2**61 // base
-    if reduced.dtype != object and reduced.size and not (
-            -limit < reduced.min() and reduced.max() < limit):
-        reduced = reduced.astype(object)
-    magnitudes = np.abs(reduced)
+    if magnitudes.dtype != object and magnitudes.size and (
+            magnitudes[-1] >= 2**61 // base):
+        magnitudes = magnitudes.astype(object)
     # _log_tail and _terms_for, with math.log per element as there
     log_numer = np.array(list(map(math.log, magnitudes.tolist())))
     log_tail = (math.log(2.0) + 2.0 * math.log(math.pi)
@@ -615,12 +627,16 @@ def mu_hat_many(numers: np.ndarray, params: BernoulliParams,
     if retry.size:
         prod[retry], bound[retry] = _products(
             magnitudes[retry], base, 2 * terms[retry], log_tail[retry])
-    zero, one = MuHatValue.zero(), MuHatValue(False, 1, 1.0, 0.0)
-    values = [zero if sign == 0 else one for sign in signs.tolist()]
-    for i, sign, p, b in zip(walked.tolist(), signs[walked].tolist(),
-                             prod.tolist(), bound.tolist()):
-        values[i] = MuHatValue(False, sign * (-1 if p < 0.0 else 1), abs(p), b)
-    return values
+    prod = [1.0] * skip + prod.tolist()
+    bound = [0.0] * skip + bound.tolist()
+    values = [MuHatValue.zero()]
+    for negated, k in zip((keys < 0).tolist(), key_magnitude.tolist()):
+        sign = -1 if (prod[k] < 0.0) != negated else 1
+        values.append(MuHatValue(False, sign, abs(prod[k]), bound[k]))
+    codes = np.zeros(signs.shape, dtype=np.int32)
+    index += 1
+    codes[live] = index
+    return codes, values
 
 
 def mu_hat_differences(

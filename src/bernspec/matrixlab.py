@@ -20,7 +20,6 @@ from bernspec.exact import (
     BernoulliParams,
     MuHatValue,
     mu_hat_many,
-    reduce_arguments,
     reduce_numerator,
 )
 from bernspec.report import CheckReport
@@ -74,15 +73,13 @@ class TruncatedMatrix:
         tol: float = DEFAULT_TOL,
         order: str = "strata",
     ) -> TruncatedMatrix:
-        """Every entry mu_hat(p*col - row), one certified value per |reduced|.
+        """Every entry mu_hat(p*col - row), as codes into one value table.
 
-        One reduce_arguments call takes the whole argument grid to its exact
-        (sign, reduced) pairs; mu_hat(t) = sign * mu_hat(reduced) and the
-        certified walk sees only |reduced|, so one mu_hat_many call walks
-        the distinct |reduced| together and each entry is its value with the
-        exact sign, equal to the scalar mu_hat at its argument.  The matrix
-        keeps an int32 code per entry and one table of the values the
-        entries take: a key seen with one sign holds one value.
+        The whole argument grid goes to one mu_hat_many call, which reduces
+        it once and certifies each distinct |reduced| once: each entry is
+        values[codes[i, j]], equal to the scalar mu_hat at its argument.
+        Code 0 is the exact zero, and the table holds only values some
+        entry takes, one per signed key sign * |reduced|.
         """
         p = params.require_p()
         check_budget(4**max_digits, "matrix entries", max_digits)
@@ -94,23 +91,8 @@ class TruncatedMatrix:
         # |p*col - row| <= (p + 1) * max numerator; past int64, Python ints
         dtype = np.int64 if (p + 1) * max(numers) < 2**62 else object
         grid = np.array(numers, dtype=dtype)
-        signs, reduced = reduce_arguments(p * grid - grid[:, None], params)
-        live = signs != 0
-        keys, index = np.unique(np.abs(reduced[live]), return_inverse=True)
-        del reduced  # the grid is not needed past its keys
-        certified = mu_hat_many(keys, params, tol)
-        # slot k is key k, slot len(keys) + k its negation; the slots some
-        # entry takes are numbered from 1 in slot order
-        slots = index + len(keys) * (signs[live] < 0)
-        taken = np.zeros(2 * len(keys), dtype=bool)
-        taken[slots] = True
-        codes = np.zeros(signs.shape, dtype=np.int32)
-        codes[live] = np.cumsum(taken, dtype=np.int32)[slots]
-        values = [MuHatValue.zero()]
-        for slot in np.flatnonzero(taken).tolist():
-            v = certified[slot % len(keys)]
-            values.append(v if slot < len(keys) else MuHatValue(
-                v.exact_zero, -v.sign, v.magnitude, v.error_bound))
+        # the argument grid is a temporary, freed once it is reduced
+        codes, values = mu_hat_many(p * grid - grid[:, None], params, tol)
         return cls(params, max_digits, order, indices, codes, values)
 
     def zero_mask(self) -> list[list[bool]]:

@@ -444,11 +444,38 @@ class TestMuHatMany:
         if dtype is np.int64:
             numers = [x for x in numers if abs(x) < 2**63] or [0]
         tol = data.draw(st.sampled_from([1e-15, 1e-12, 1e3]))
-        values = mu_hat_many(np.array(numers, dtype=dtype), params, tol)
-        assert values == [mu_hat(QuarterInt(x), params, tol) for x in numers]
+        codes, values = mu_hat_many(np.array(numers, dtype=dtype), params, tol)
+        assert [values[c] for c in codes.tolist()] == [
+            mu_hat(QuarterInt(x), params, tol) for x in numers]
 
     def test_empty(self):
-        assert mu_hat_many(np.array([], dtype=np.int64), N2) == []
+        codes, values = mu_hat_many(np.array([], dtype=np.int64), N2)
+        assert codes.tolist() == []
+        assert values == [MuHatValue.zero()]
+
+    @pytest.mark.parametrize("dtype", [np.int64, object])
+    def test_codes_and_table(self, dtype):
+        # (2n)^k (4m + 2) reduces to -(4m + 2): 24 and -6 reach |reduced| 6
+        # with both signs; 4, 20 and -12 lie in the zero set (n = 2)
+        grid = np.array([[0, 6, -6, 24], [4, 20, -12, 7], [-7, 24, 0, 3]],
+                        dtype=dtype)
+        codes, values = mu_hat_many(grid, N2)
+        assert codes.shape == grid.shape and codes.dtype == np.int32
+        assert [values[c] for c in codes.ravel().tolist()] == [
+            mu_hat(QuarterInt(int(x)), N2) for x in grid.ravel()]
+        # an argument and its negation share one code
+        assert codes[0, 1] == codes[0, 2] and codes[1, 3] == codes[2, 0]
+        # |reduced| 2 reached with both signs: two values, opposite signs
+        plus, minus = values[codes[0, 1]], values[codes[0, 3]]
+        assert codes[0, 1] != codes[0, 3] and plus.sign == -minus.sign
+        assert (plus.magnitude, plus.error_bound) == (
+            minus.magnitude, minus.error_bound)
+        assert codes[1, :3].tolist() == [0, 0, 0]
+        assert values[0] == MuHatValue.zero()
+        assert values[codes[0, 0]] == MuHatValue(False, 1, 1.0, 0.0)
+        # besides code 0, the table holds only values some element takes
+        assert sorted(set(codes.ravel().tolist()) | {0}) == list(
+            range(len(values)))
 
     @pytest.mark.parametrize("tol", [0.0, -1e-12, math.inf, math.nan])
     def test_rejects_bad_tol(self, tol):

@@ -7,7 +7,7 @@ from itertools import product
 
 import pytest
 
-from bernspec import matrixlab
+from bernspec import exact, matrixlab
 from bernspec.exact import (
     BernoulliParams,
     QuarterInt,
@@ -108,6 +108,18 @@ class TestTruncatedMatrix:
         assert len({id(e) for e in flat}) == len(set(flat))
         zeros = [e for e in flat if e.exact_zero]
         assert zeros and all(e is zeros[0] for e in zeros)
+
+    def test_one_reduction_per_build(self, monkeypatch):
+        calls = []
+        reduce_arguments = exact.reduce_arguments
+
+        def counted(*args):
+            calls.append(args)
+            return reduce_arguments(*args)
+
+        monkeypatch.setattr(exact, "reduce_arguments", counted)
+        TruncatedMatrix.build(N2P5, 4)
+        assert len(calls) == 1
 
     def test_strata_order_blocks_in_mask(self):
         from bernspec.spectrum import stratum_index
