@@ -15,8 +15,10 @@ through its exact ratio numerator/denominator, so one factor walk serves
 them all.  mu_hat_differences takes the transform at t - scale * gamma over
 a whole spectrum truncation along the digit tree of the Cuntz isometries:
 one cosine per tree node, and one walk per point for the factors below it.
-mu_hat_many is mu_hat over an array of quarter-integers in one batched
-walk, with the same bits as the scalar mu_hat, which stays the reference.
+mu_hat_many is mu_hat over an array of quarter-integers as codes into a
+table of values: one reduction, one batched walk over the distinct
+|reduced|, and the same bits as the scalar mu_hat, which stays the
+reference.
 """
 
 from __future__ import annotations
@@ -46,9 +48,11 @@ DEFAULT_TOL = 1e-12
 # Most items one request may hold: spectrum words, matrix entries, verifier
 # word pairs, chaos samples or product factors.  A built matrix keeps 4
 # bytes per entry (an int32 code into its table of distinct values) plus the
-# table, and its build peaks near 19 bytes per entry (the int64 argument grid
-# and its reduced copy), 74 MiB at the budget (11 digits); a chaos run at the
-# budget holds two arrays of 32 MB.
+# table.  Its build peaks while the int64 argument grid, its reduced copy and
+# their int8 signs are alive, near 17.5 bytes per entry: 70 MiB at the budget
+# (11 digits) for n = 2, p = 5 (tracemalloc).  Where one entry in four is a
+# distinct value (n = 4, p = 3) the table adds to that, and the peak is
+# 283 MiB.  A chaos run at the budget holds two arrays of 32 MB.
 ITEM_BUDGET = 1 << 22
 
 # Elements reduce_arguments steps through at once.
@@ -533,6 +537,9 @@ def _terms_for(log_tail: float, base: int, tol: float) -> int:
 def _check_tol(tol: float) -> None:
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
+    # the walk is sized by log(tol / 2)
+    if tol / 2.0 == 0.0:
+        raise ValueError(f"tol / 2 underflows to 0, got tol = {tol!r}")
 
 
 def mu_hat(t: QuarterInt | Fraction | float, params: BernoulliParams,
@@ -544,9 +551,10 @@ def mu_hat(t: QuarterInt | Fraction | float, params: BernoulliParams,
     decided in integers: a zero-set member returns an exact zero, and any
     other point is fully reduced before its product.  The truncated product
     is then evaluated with enough terms to put the truncation part of the
-    bound below tol, which must be finite and positive.  The reported
-    error_bound is the honest total (truncation plus rounding), so it can
-    exceed an extremely small tol; it is never understated.
+    bound below tol, which must be finite and positive, with tol / 2 above
+    0.  The reported error_bound is the honest total (truncation plus
+    rounding), so it can exceed an extremely small tol; it is never
+    understated.
     """
     _check_tol(tol)
     numer, denom = _ratio(t)
@@ -741,14 +749,16 @@ def chaos_game_estimate(
     biases the mean by far less than the Monte-Carlo standard error.
     Returns (estimate, std_error) with the sample standard error of the
     mean; a single sample reports an infinite std_error.  The phase
-    frequency 2 pi t must be a finite float, and samples must lie in
-    1..ITEM_BUDGET.
+    frequency 2 pi t must be a finite float, samples must lie in
+    1..ITEM_BUDGET, and seed must be >= 0.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     if samples > ITEM_BUDGET:
         raise ValueError(
             f"samples {samples} is over the size budget of {ITEM_BUDGET}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     try:
         omega = 2.0 * math.pi * float(t)
     except OverflowError:

@@ -340,6 +340,19 @@ class TestTolerance:
         assert captured.out == ""
         assert f"tol must be finite and positive, got {tol}" in captured.err
 
+    @pytest.mark.parametrize("command", [
+        ["muhat", "--t", "1/4"],
+        ["matrix", "--p", "5", "--max-digits", "2"],
+        ["parseval", "--t", "1/4", "--max-digits", "2"],
+        ["chaos", "--t", "1/4", "--samples", "10"],
+    ], ids=["muhat", "matrix", "parseval", "chaos"])
+    def test_tol_whose_half_underflows_rejected(self, command, capsys):
+        # the smallest subnormal halves to 0.0, and the walk takes log(tol / 2)
+        assert main([*command, "--tol", "5e-324"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "tol / 2 underflows to 0, got tol = 5e-324" in captured.err
+
 
 class TestParseval:
     def test_monotone_table(self, capsys):
@@ -407,6 +420,13 @@ class TestChaos:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "2 pi t must be a finite float" in captured.err
+
+    def test_negative_seed_rejected(self, capsys):
+        assert main(["chaos", "--t", "0.3", "--samples", "10",
+                     "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "seed must be >= 0, got -1" in captured.err
 
     def test_oversized_sample_count_rejected(self, monkeypatch, capsys):
         # rejected before numpy allocates the two 80 GB sample arrays; with

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -17,6 +18,7 @@ from bernspec.exact import (
     chaos_game_estimate,
     in_zero_set,
     mu_hat,
+    mu_hat_differences,
     mu_hat_many,
     mu_hat_product,
     reduce_argument,
@@ -372,6 +374,17 @@ class TestMuHat:
         with pytest.raises(ValueError, match="tol must be finite and positive"):
             mu_hat(0.3, N2, tol=tol)
 
+    @pytest.mark.parametrize("evaluate", [
+        lambda tol: mu_hat(QuarterInt(1), N2, tol),
+        lambda tol: mu_hat_many(np.array([1]), N2, tol),
+        lambda tol: next(mu_hat_differences(0.3, N2, [0], tol=tol)),
+    ], ids=["mu_hat", "mu_hat_many", "mu_hat_differences"])
+    def test_rejects_tol_whose_half_underflows(self, evaluate):
+        # the walk is sized by log(tol / 2); the next float up still works
+        with pytest.raises(ValueError, match="tol / 2 underflows to 0"):
+            evaluate(5e-324)
+        evaluate(1e-323)
+
     def test_float_argument_sizes_its_product(self):
         # a fixed 64-term product leaves a bound above the value here
         res = mu_hat(3.3e38, N2)
@@ -512,6 +525,12 @@ class TestChaosGame:
     def test_single_sample(self):
         est = chaos_game_estimate(1.0, N2, 1, seed=0)
         assert math.isinf(est.std_error)
+
+    def test_rejects_negative_seed(self, monkeypatch):
+        # rejected before numpy, which would name neither seed nor its value
+        monkeypatch.setitem(sys.modules, "numpy", None)
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            chaos_game_estimate(1.0, N2, 10, seed=-1)
 
     def test_rejects_zero_samples(self):
         with pytest.raises(ValueError):
