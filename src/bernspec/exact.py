@@ -12,9 +12,14 @@ reduce_numerator is the one scalar reduction: reduce_argument wraps it for
 a QuarterInt, and the verifiers call it on bare numerators.
 Every argument, a quarter-integer, a fraction or a float, is evaluated
 through its exact ratio numerator/denominator, so one factor walk serves
-them all.  mu_hat_differences takes the transform at t - scale * gamma over
-a whole spectrum truncation along the digit tree of the Cuntz isometries:
-one cosine per tree node, and one walk per point for the factors below it.
+them all.  The walk takes the whole infinite product: a cosine per factor
+while 2|t|/(2n)^k > 1/64, then the rest in closed form as exp(-S), S a
+certified series for the sum of -ln cos.  Its bound is at the rounding
+level whatever tol is; mu_hat_product is the fixed-length truncation, an
+independent reference.  mu_hat_differences takes the transform at
+t - scale * gamma over a whole spectrum truncation along the digit tree of
+the Cuntz isometries: one cosine per tree node, and one walk per point for
+the factors below it.
 mu_hat_many is mu_hat over an array of quarter-integers as codes into a
 table of values: one reduction, one batched walk over the distinct
 |reduced|, and the same bits as the scalar mu_hat, which stays the
@@ -23,6 +28,7 @@ reference.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -42,7 +48,40 @@ _COSPI_SLOP = 4.0 * _EPS
 # < 2^-52 since the reduced ratio is < 2) on top of the cosine slop.
 _RATIO_FACTOR_ERR = math.pi * 2.0 ** -52 + _COSPI_SLOP
 
-# Default target for the truncation part of a certified transform value.
+# A rounded product below 2^-1022 can also lose 2^-1075 outright, and so can
+# each of the three products of its bound: 2^-1073 per multiplication keeps
+# a product that underflows (|mu_hat| < 1e-308 at n = 1) honest.
+_UNDERFLOW = 2.0 ** -1073
+
+# A cosine at y = s_k < 1, one rounded division of integers, costs pi times
+# half an ulp of y on top of the cosine slop.
+_HALF_ULP_PI = math.pi * 0.5 * _EPS
+
+# The certified walk takes the factors with 2|x| / (2n)^k <= 1/_SERIES_FROM
+# together, in closed form (_series_sum).
+_SERIES_FROM = 64
+
+# -ln cos z = sum_{i >= 1} c_i z^(2i) (Abramowitz-Stegun 4.3.71), every c_i
+# positive: c_1..c_6 as (numerator, denominator).
+_LOG_COS = ((1, 2), (1, 12), (1, 45), (17, 2520), (31, 14175), (691, 935550))
+
+# Bound on |(sum_j -ln cos(pi y_true / b^j)) - S| / S for the rounded Horner
+# sum S at y = fl(y_true) <= 1/64 (_series_sum).  The rounding of pi * y, of
+# its square, of each coefficient and of the Horner steps is at most
+# (1 + 7i) half-ulps for the term of degree i <= 6: 21.5 eps.  y is one
+# rounded division off y_true, and the derivative of the sum is at most
+# pi^2 y b^2/(b^2 - 1) tan(z)/z <= 13.2 y, so that costs 6.6 eps y^2 <=
+# 1.4 eps S (S >= (pi y)^2 / 2).
+_SERIES_SLOP = 32.0 * _EPS
+
+# The terms i >= 7 of the sum: c_i <= sum_i c_i = -ln cos 1 < 0.61563 and
+# b^(2i)/(b^(2i) - 1) <= 4/3 (n = 1), so for z = pi y <= pi/64 they add at
+# most 4/3 * 0.61563 * z^14 / (1 - z^2) < 0.823 z^14.
+_SERIES_REMAINDER = 0.83
+
+# Default tol of every evaluation.  The certified walk is complete at any
+# tol, so its bound sits at the rounding level whatever tol is; tol is
+# still checked.
 DEFAULT_TOL = 1e-12
 
 # Most items one request may hold: spectrum words, matrix entries, verifier
@@ -52,7 +91,8 @@ DEFAULT_TOL = 1e-12
 # their int8 signs are alive, near 17.5 bytes per entry: 70 MiB at the budget
 # (11 digits) for n = 2, p = 5 (tracemalloc).  Where one entry in four is a
 # distinct value (n = 4, p = 3) the table adds to that, and the peak is
-# 283 MiB.  A chaos run at the budget holds two arrays of 32 MB.
+# 283 MiB.  A chaos run at the budget peaks at 68 MiB: its float64 sum, one
+# table lookup of the same size and one byte per sample (tracemalloc).
 ITEM_BUDGET = 1 << 22
 
 # Elements reduce_arguments steps through at once.
@@ -291,13 +331,13 @@ def _ratio(t: QuarterInt | Fraction | float) -> tuple[int, int]:
 def _log_tail(numer: int, denom: int, base: int) -> float:
     # log of sum_{k >= 1} (2 pi x)^2 / (2 base^(2k)) = 2 pi^2 x^2 / (base^2 - 1)
     # for x = numer/denom != 0; the sum past `terms` factors is this times
-    # base^(-2 terms).  math.log takes any int, so a numerator past the
-    # float range is never converted.
+    # base^(-2 terms).  math.log takes any int, so neither a numerator nor
+    # a base past the float range is ever converted.
     return (
         math.log(2.0)
         + 2.0 * math.log(math.pi)
         + 2.0 * (math.log(abs(numer)) - math.log(denom))
-        - math.log(float(base * base - 1))
+        - math.log(base * base - 1)
     )
 
 
@@ -357,7 +397,7 @@ def _times(prod: float, err: float, value: float,
         return prod * value, err
     new_prod = prod * value
     return new_prod, (0.5 * _EPS * abs(new_prod) + abs(prod) * value_err
-                      + err * min(1.0, abs(value) + value_err))
+                      + err * min(1.0, abs(value) + value_err) + _UNDERFLOW)
 
 
 def _tail_bound(log_tail: float, base: int, terms: int) -> float:
@@ -365,7 +405,7 @@ def _tail_bound(log_tail: float, base: int, terms: int) -> float:
     # a_k = (2 pi x)^2 / (2 base^(2k)) the dropped factors lie in
     # [1 - a_k, 1], and 1 - prod(1 - a_k) <= sum a_k = S whenever S < 1.
     # Worked in the log domain so huge |x| cannot overflow.
-    log_s = log_tail - 2.0 * terms * math.log(float(base))
+    log_s = log_tail - 2.0 * terms * math.log(base)
     if log_s >= 0.0:
         return 2.0
     return min(2.0, math.exp(log_s) * (1.0 + 1e-9))
@@ -373,10 +413,10 @@ def _tail_bound(log_tail: float, base: int, terms: int) -> float:
 
 def _product(numer: int, denom: int, base: int, terms: int,
              log_tail: float) -> tuple[float, float] | None:
-    # The certified walk: prod_{k=1..terms} cos(2 pi x / base^k) at
-    # x = numer/denom != 0 and a bound that covers the rounding AND the
-    # dropped tail; None when a factor is exactly zero.  log_tail is
-    # _log_tail(numer, denom, base).
+    # The truncated walk behind mu_hat_product: prod_{k=1..terms}
+    # cos(2 pi x / base^k) at x = numer/denom != 0 and a bound that covers
+    # the rounding AND the dropped tail; None when a factor is exactly
+    # zero.  log_tail is _log_tail(numer, denom, base).
     #
     # Factor k is cos(pi r_k) with r_k = s_k mod 2 and s_k = 2|x| / base^k.
     # While s_k >= 1, r_k is reduced exactly as an integer ratio, so grid
@@ -385,8 +425,10 @@ def _product(numer: int, denom: int, base: int, terms: int,
     # later s_j = s_k / base^(j-k) wraps or lands on the grid (they lie in
     # (0, 1/2)), so the walk goes on in floats from half an ulp of argument
     # error: division is exact when 2n is a power of two, else costs half
-    # an ulp per step.  |mu_hat| <= 1, so 1 + |prod| is always honest; it
-    # caps the bound of a product too short for its argument.
+    # an ulp per step.  A base past the float range divides by inf, which
+    # sends y to 0 from below 2^-1023: far inside the cosine slop.
+    # |mu_hat| <= 1, so 1 + |prod| is always honest; it caps the bound of
+    # a product too short for its argument.
     prod = 1.0
     err = 0.0
     twice = 2 * abs(numer)
@@ -404,99 +446,152 @@ def _product(numer: int, denom: int, base: int, terms: int,
     if k < terms:
         cos, pi = math.cos, math.pi
         exact_division = base & (base - 1) == 0
+        step = float(base) if base.bit_length() < 1024 else math.inf
         y = twice / den
         y_err = 0.5 * _EPS * y
         for _ in range(k, terms):
-            # _times and the first branch of _cospi_reduced, inlined: this
-            # loop is the hot path, and y < 1/4 from its second factor on
+            # _times and the first branch of _cospi_reduced, inlined: y < 1/4
+            # from the second factor on
             value = cos(pi * y) if y <= 0.25 else _cospi_reduced(y)
             factor_err = pi * y_err + _COSPI_SLOP
             new_prod = prod * value
             growth = abs(value) + factor_err
             err = (0.5 * _EPS * abs(new_prod) + abs(prod) * factor_err
-                   + err * (growth if growth < 1.0 else 1.0))
+                   + err * (growth if growth < 1.0 else 1.0) + _UNDERFLOW)
             prod = new_prod
-            y /= base
-            y_err /= base
+            y /= step
+            y_err /= step
             if not exact_division:
                 y_err += 0.5 * _EPS * y
     bound = err + (abs(prod) + err) * _tail_bound(log_tail, base, terms)
     return prod, min(bound, 1.0 + abs(prod))
 
 
-def _products(numers: np.ndarray, base: int, terms: np.ndarray,
-              log_tail: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # _product at the quarter-integers numers / 4, over arrays: terms and
-    # log_tail are each key's.  The keys are reduced, positive and not
-    # divisible by base, so no factor lands on the grid {0, 1/2, 1, 3/2}
-    # (each grid point needs base | numer) and none is an exact zero.
-    # Every step is _product's: the integer phase on twice % (2 den) with
-    # one rounded division per factor (Python ints, element by element),
-    # the float phase from twice / den, the float operations of the bound
-    # in numpy in the same order, and each libm call per element, so every
-    # key gets the same bits.  numers is int64 only while 4 base numers
-    # fits it.
+@functools.lru_cache(maxsize=64)
+def _series(base: int) -> tuple[float, ...]:
+    # a_i = c_i b^(2i) / (b^(2i) - 1), the coefficient of (pi y)^(2i) in
+    # sum_{j >= 0} -ln cos(pi y / b^j) (a geometric sum over j), each one
+    # int / int division rounded once; it is c_i for a base past the float
+    # range, and nothing overflows
+    coefficients = []
+    for i, (num, den) in enumerate(_LOG_COS, 1):
+        power = base ** (2 * i)
+        coefficients.append(num * power / (den * (power - 1)))
+    return tuple(coefficients)
+
+
+def _series_sum(y: float | np.ndarray,
+                base: int) -> tuple[float | np.ndarray, float | np.ndarray]:
+    # The rest of the walk in closed form: for 0 <= y <= 1/64,
+    # prod_{j >= 0} cos(pi y / b^j) = exp(-F(y)), and F(y) is S, the Horner
+    # sum of a_i (pi y)^(2i) for i <= 6, within slop.  slop covers the
+    # rounding of S and of y (_SERIES_SLOP) and the terms i >= 7
+    # (_SERIES_REMAINDER); exp(-F) moves by at most |F - S| since F, S >= 0.
+    # Underflow in either costs less than 1e-300.  y is a float or a float64
+    # array: the float operations are the same, element by element.
+    a1, a2, a3, a4, a5, a6 = _series(base)
+    z2 = math.pi * y
+    z2 = z2 * z2
+    s = z2 * (a1 + z2 * (a2 + z2 * (a3 + z2 * (a4 + z2 * (a5 + z2 * a6)))))
+    z4 = z2 * z2
+    return s, _SERIES_SLOP * s + _SERIES_REMAINDER * (z4 * z4 * z4 * z2)
+
+
+def _tail(numer: int, denom: int, base: int) -> tuple[float, float] | None:
+    # The certified walk: mu_hat at x = numer/denom, the whole infinite
+    # product, and a bound that covers every rounding; None when a factor
+    # is exactly zero.
+    #
+    # Factor k is cos(pi r_k) with r_k = s_k mod 2 and s_k = 2|x| / base^k.
+    # While s_k >= 1, r_k is reduced exactly as an integer ratio, so grid
+    # values (0, +-1 and the zeros) are decided on integers and only one
+    # rounded division reaches the cosine.  Once s_k < 1 is off the grid, no
+    # later s_j wraps or lands on the grid (they lie in (0, 1/2)): while
+    # s_k > 1/64, factor k is the cosine at y = s_k, one rounded division
+    # of integers (at most 3 factors for n >= 2, 6 for n = 1).  The factors
+    # from the first s_K <= 1/64 on are exp(-S) (_series_sum), and one more
+    # ulp covers the libm exp.  |mu_hat| <= 1, so 1 + |prod| is always
+    # honest.
+    if numer == 0:
+        return 1.0, 0.0
+    prod = 1.0
+    err = 0.0
+    twice = 2 * abs(numer)
+    den = denom * base
+    while twice >= den or 2 * twice == den:
+        factor = _cospi_ratio(twice % (2 * den), den)
+        if factor is None:
+            return None
+        prod, err = _times(prod, err, *factor)
+        den *= base
+    cos, pi = math.cos, math.pi
+    limit = _SERIES_FROM * twice
+    while den < limit:
+        # _times and the first branch of _cospi_reduced, inlined: this
+        # loop is the hot path, and y <= 1/4 from its second factor on
+        y = twice / den
+        value = cos(pi * y) if y <= 0.25 else _cospi_reduced(y)
+        factor_err = _HALF_ULP_PI * y + _COSPI_SLOP
+        new_prod = prod * value
+        growth = abs(value) + factor_err
+        err = (0.5 * _EPS * abs(new_prod) + abs(prod) * factor_err
+               + err * (growth if growth < 1.0 else 1.0) + _UNDERFLOW)
+        prod = new_prod
+        den *= base
+    s, slop = _series_sum(twice / den, base)
+    value = math.exp(-s)
+    prod, err = _times(prod, err, value, slop + _EPS * value)
+    return prod, min(err, 1.0 + abs(prod))
+
+
+def _products(numers: np.ndarray, base: int) -> tuple[np.ndarray, np.ndarray]:
+    # _tail at the quarter-integers numers / 4, over an array.  The keys are
+    # reduced, positive and not divisible by base, so no factor lands on the
+    # grid {0, 1/2, 1, 3/2} (each grid point needs base | numer) and none is
+    # an exact zero.  Every step is _tail's, for all keys at one s_k at a
+    # time: r = (twice % (2 den)) / den, a Python int division per element,
+    # and the cosine at r with the error of its phase (r = s_k < 1 is the
+    # float phase); then _series_sum on the float64 array of each key's
+    # s_K.  The float operations of the bound run in numpy in the same
+    # order, and each libm call per element, so every key gets the same
+    # bits.  numers is int64 only while 256 numers and 2 base numers fit
+    # it: an active key has 2 den < 128 twice, and a leaving one den / 64 <
+    # base twice.
     import numpy as np
 
     twice = 2 * numers
     prod = np.ones(len(numers))
     err = np.zeros(len(numers))
-    # the float phase of each key: its first argument and factor count
     y = np.zeros(len(numers))
-    left = np.zeros(len(numers), dtype=np.int64)
     active = np.arange(len(numers))
     den = 4
-    k = 0
     while active.size:
         den *= base
         part = twice[active]
-        leaving = part < den
+        leaving = part <= den // _SERIES_FROM
         y[active[leaving]] = [x / den for x in part[leaving].tolist()]
-        left[active[leaving]] = terms[active[leaving]] - k
-        active, num = active[~leaving], part[~leaving] % (2 * den)
-        value = _cospi_many(np.array([x / den for x in num.tolist()]))
+        active, part = active[~leaving], part[~leaving]
+        r = np.array([x / den for x in (part % (2 * den)).tolist()])
+        value = _cospi_many(r)
+        factor_err = np.where(part < den, _HALF_ULP_PI * r + _COSPI_SLOP,
+                              _RATIO_FACTOR_ERR)
         old = prod[active]
         prod[active] = old * value
-        growth = np.abs(value) + _RATIO_FACTOR_ERR
-        err[active] = (0.5 * _EPS * np.abs(prod[active])
-                       + np.abs(old) * _RATIO_FACTOR_ERR
-                       + err[active] * np.where(growth < 1.0, growth, 1.0))
-        k += 1
-        active = active[terms[active] > k]
-    index = np.flatnonzero(left)
-    y, left = y[index], left[index]
-    y_err = 0.5 * _EPS * y
-    exact_division = base & (base - 1) == 0
-    while index.size:
-        # y <= 1/4 from the second factor on, as in _product
-        small = y <= 0.25
-        value = np.empty(len(y))
-        value[small] = list(map(math.cos, (math.pi * y[small]).tolist()))
-        if not small.all():
-            value[~small] = _cospi_many(y[~small])
-        factor_err = math.pi * y_err + _COSPI_SLOP
-        old = prod[index]
-        prod[index] = old * value
         growth = np.abs(value) + factor_err
-        err[index] = (0.5 * _EPS * np.abs(prod[index]) + np.abs(old) * factor_err
-                      + err[index] * np.where(growth < 1.0, growth, 1.0))
-        y = y / base
-        y_err = y_err / base
-        if not exact_division:
-            y_err = y_err + 0.5 * _EPS * y
-        left -= 1
-        going = left > 0
-        index, y, y_err, left = index[going], y[going], y_err[going], left[going]
-    # _tail_bound, with math.exp only where log_s < 0 as there
-    log_s = log_tail - 2.0 * terms * math.log(float(base))
-    tail = np.full(len(numers), 2.0)
-    below = log_s < 0.0
-    exp = np.array(list(map(math.exp, log_s[below].tolist())))
-    tail[below] = exp * (1.0 + 1e-9)
-    tail = np.where(tail < 2.0, tail, 2.0)
-    bound = err + (np.abs(prod) + err) * tail
-    cap = 1.0 + np.abs(prod)
-    return prod, np.where(cap < bound, cap, bound)
+        err[active] = (0.5 * _EPS * np.abs(prod[active])
+                       + np.abs(old) * factor_err
+                       + err[active] * np.where(growth < 1.0, growth, 1.0)
+                       + _UNDERFLOW)
+    s, slop = _series_sum(y, base)
+    value = np.array(list(map(math.exp, (-s).tolist())))
+    # _times, whose exact +-1 case needs value_err = 0
+    value_err = slop + _EPS * value
+    new_prod = prod * value
+    growth = np.abs(value) + value_err
+    err = (0.5 * _EPS * np.abs(new_prod) + np.abs(prod) * value_err
+           + err * np.where(growth < 1.0, growth, 1.0) + _UNDERFLOW)
+    cap = 1.0 + np.abs(new_prod)
+    return new_prod, np.where(cap < err, cap, err)
 
 
 def mu_hat_product(
@@ -510,7 +605,8 @@ def mu_hat_product(
     Every argument is walked as its exact ratio (a quarter-integer as
     numerator/4, a fraction or a float as its integer ratio): a zero factor
     is then recognized exactly and short-circuits to an exact zero.  terms
-    must lie in 1..ITEM_BUDGET.
+    must lie in 1..ITEM_BUDGET.  This fixed-length walk is independent of
+    the closed-form tail of mu_hat.
     """
     if terms < 1:
         raise ValueError("terms must be >= 1")
@@ -528,16 +624,11 @@ def mu_hat_product(
     return MuHatValue(False, -1 if prod < 0.0 else 1, abs(prod), bound)
 
 
-def _terms_for(log_tail: float, base: int, tol: float) -> int:
-    # smallest truncation depth putting the geometric tail under tol/2
-    k = (log_tail - math.log(tol / 2.0)) / (2.0 * math.log(float(base)))
-    return max(4, math.ceil(k) + 2)
-
-
 def _check_tol(tol: float) -> None:
+    # the walk is complete at any tol, which sizes nothing and is only
+    # checked
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
-    # the walk is sized by log(tol / 2)
     if tol / 2.0 == 0.0:
         raise ValueError(f"tol / 2 underflows to 0, got tol = {tol!r}")
 
@@ -549,12 +640,11 @@ def mu_hat(t: QuarterInt | Fraction | float, params: BernoulliParams,
     A quarter-integer, and a fraction or float whose exact value is one
     (every float of magnitude 2^50 or more, and decimals such as 2.5), is
     decided in integers: a zero-set member returns an exact zero, and any
-    other point is fully reduced before its product.  The truncated product
-    is then evaluated with enough terms to put the truncation part of the
-    bound below tol, which must be finite and positive, with tol / 2 above
-    0.  The reported error_bound is the honest total (truncation plus
-    rounding), so it can exceed an extremely small tol; it is never
-    understated.
+    other point is fully reduced before its product.  The whole infinite
+    product is then evaluated, its factors past 2|t|/(2n)^k <= 1/64 in
+    closed form, so error_bound is the honest total rounding error, at the
+    level of a few ulps times the factor count, whatever tol is.  tol must
+    still be finite and positive, with tol / 2 above 0.
     """
     _check_tol(tol)
     numer, denom = _ratio(t)
@@ -564,26 +654,11 @@ def mu_hat(t: QuarterInt | Fraction | float, params: BernoulliParams,
         if sign == 0:
             return MuHatValue.zero()
         numer, denom = reduced.numerator, 4
-    result = _tail(numer, denom, params.base, tol, tol)
+    result = _tail(numer, denom, params.base)
     if result is None:
         return MuHatValue.zero()
     prod, bound = result
     return MuHatValue(False, sign * (-1 if prod < 0.0 else 1), abs(prod), bound)
-
-
-def _tail(numer: int, denom: int, base: int, tol: float,
-          size_tol: float) -> tuple[float, float] | None:
-    # mu_hat at numer/denom without its integer reduction or its tracing:
-    # the walk sized to put its truncation part under size_tol, and retried
-    # at twice the length when its bound misses tol
-    if numer == 0:
-        return 1.0, 0.0
-    log_tail = _log_tail(numer, denom, base)
-    terms = _terms_for(log_tail, base, size_tol)
-    result = _product(numer, denom, base, terms, log_tail)
-    if result is not None and result[1] > tol:
-        result = _product(numer, denom, base, 2 * terms, log_tail)
-    return result
 
 
 def mu_hat_many(numers: np.ndarray, params: BernoulliParams,
@@ -600,9 +675,9 @@ def mu_hat_many(numers: np.ndarray, params: BernoulliParams,
     sign * |reduced| names each value.  The certified walk of each distinct
     |reduced| runs once, all of them together, with the integer phase, the
     float operations and the libm calls of the scalar walk (see _products).
-    A key takes the walk at twice the length only when its own bound misses
-    tol.  Nothing here keeps numers past its reduction, so an array passed
-    as a temporary is freed there.
+    tol is checked as by mu_hat and changes no value.  Nothing here keeps
+    numers past its reduction, so an array passed as a temporary is freed
+    there.
     """
     _check_tol(tol)
     import numpy as np
@@ -619,22 +694,12 @@ def mu_hat_many(numers: np.ndarray, params: BernoulliParams,
     # argument 0 is the one key off the walk: mu_hat(0) = 1 exactly
     skip = int(magnitudes.size > 0 and magnitudes[0] == 0)
     magnitudes = magnitudes[skip:]
-    # the walk's integers reach 4 * base * |numer|; past int64, Python ints
+    # the walk's integers reach 256 |numer| and 2 base |numer|; past int64,
+    # Python ints
     if magnitudes.dtype != object and magnitudes.size and (
-            magnitudes[-1] >= 2**61 // base):
+            magnitudes[-1] >= 2**55 // base):
         magnitudes = magnitudes.astype(object)
-    # _log_tail and _terms_for, with math.log per element as there
-    log_numer = np.array(list(map(math.log, magnitudes.tolist())))
-    log_tail = (math.log(2.0) + 2.0 * math.log(math.pi)
-                + 2.0 * (log_numer - math.log(4))
-                - math.log(float(base * base - 1)))
-    depth = (log_tail - math.log(tol / 2.0)) / (2.0 * math.log(float(base)))
-    terms = np.maximum(4, np.ceil(depth).astype(np.int64) + 2)
-    prod, bound = _products(magnitudes, base, terms, log_tail)
-    retry = np.flatnonzero(bound > tol)
-    if retry.size:
-        prod[retry], bound[retry] = _products(
-            magnitudes[retry], base, 2 * terms[retry], log_tail[retry])
+    prod, bound = _products(magnitudes, base)
     prod = [1.0] * skip + prod.tolist()
     bound = [0.0] * skip + bound.tolist()
     values = [MuHatValue.zero()]
@@ -698,11 +763,9 @@ def mu_hat_differences(
         return None if factor is None else _times(*parent, *factor)
 
     def word(m: int, node: tuple[float, float] | None, den: int) -> MuHatValue:
-        # sized for min(tol, 1), which costs nothing a tol above 1 could
-        # ask for and keeps every zero factor inside the walk (a zero at
-        # factor j needs |x| >= base^j / 4)
+        # the whole tail below the word's nodes, every zero factor decided
         tail = None if node is None else _tail(
-            numer - step * points[m], den, base, tol, min(tol, 1.0))
+            numer - step * points[m], den, base)
         if tail is None:
             return MuHatValue.zero()
         prod, err = _times(*node, *tail)
@@ -744,9 +807,11 @@ def chaos_game_estimate(
     """Monte-Carlo estimate of the transform at t via random expansions.
 
     Samples x = sum_k eps_k (2n)^-k with independent signs eps_k = +-1 and
-    averages cos(2 pi t x); the mean converges to the transform value.  The
-    expansion is truncated once (2n)^-k falls below float resolution, which
-    biases the mean by far less than the Monte-Carlo standard error.
+    averages cos(2 pi t x); the mean converges to the transform value.  One
+    random byte gives 8 signs at a time, through a table of their 256 sums.
+    The expansion is truncated at the first whole byte past float
+    resolution, which biases the mean by far less than the Monte-Carlo
+    standard error.
     Returns (estimate, std_error) with the sample standard error of the
     mean; a single sample reports an infinite std_error.  The phase
     frequency 2 pi t must be a finite float, samples must lie in
@@ -769,13 +834,24 @@ def chaos_game_estimate(
 
     base = params.base
     depth = math.ceil(53.0 * math.log(2.0) / math.log(base)) + 1
+    # one random byte draws 8 signs: table[byte] = sum_i (2 b_i - 1)
+    # base^-(i+1) over its bits b_i, low bit first.  Every weight is a
+    # rounded int / int division, so a huge base underflows to 0, never
+    # overflows.
+    codes = np.arange(256)
+    table = np.zeros(256)
+    for i in range(8):
+        table += (2.0 * ((codes >> i) & 1) - 1.0) * (1 / base ** (i + 1))
     rng = np.random.default_rng(seed)
-    x = np.zeros(samples)
-    scale = 1.0
-    for _ in range(depth):
-        scale /= base
-        x += scale * (2.0 * rng.integers(0, 2, size=samples) - 1.0)
-    phases = np.cos(omega * x)
+    x = table[rng.integers(0, 256, size=samples, dtype=np.uint8)]
+    for byte in range(1, -(-depth // 8)):
+        # the signs 8 byte + 1 .. 8 byte + 8, scaled by base^(-8 byte)
+        part = table[rng.integers(0, 256, size=samples, dtype=np.uint8)]
+        part *= 1 / base ** (8 * byte)
+        x += part
+        del part
+    x *= omega
+    phases = np.cos(x, out=x)
     estimate = float(phases.mean())
     if samples == 1:
         return ChaosEstimate(estimate, float("inf"))

@@ -326,6 +326,47 @@ class TestVerify:
             "entry (0, 1) expected zero"]
 
 
+@pytest.mark.parametrize("n", [10**160, 10**400], ids=["1e160", "1e400"])
+class TestHugeN:
+    # 2n past the float range: after the first factor every cosine is 1
+    # within 1e-300, and no command converts 2n to a float
+    def test_muhat(self, n, capsys):
+        for extra in ([], ["--terms", "3"]):
+            assert main(["muhat", "--n", str(n), "--t", "3/4", "--json",
+                         *extra]) == 0
+            obj = json.loads(capsys.readouterr().out)
+            assert (obj["exact_zero"], obj["value"]) == (False, 1.0)
+            assert 0.0 < obj["error_bound"] <= 1e-12
+
+    def test_muhat_at_a_zero(self, capsys, n):
+        # t = n / 2 = (2n)^1 * 1 / 4 is in the zero set
+        assert main(["muhat", "--n", str(n), f"--t={2 * n}/4", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["exact_zero"] is True
+
+    def test_parseval(self, n, capsys):
+        # at every point gamma != 0 one factor of mu_hat(t - gamma) is a
+        # cosine within 3 pi / (4n) of one of its zeros, so only gamma = 0
+        # adds more than 1e-300
+        assert main(["parseval", "--n", str(n), "--t", "3/4",
+                     "--max-digits", "2", "--json"]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert [row["digits"] for row in rows] == [0, 1, 2]
+        for row in rows:
+            assert abs(row["partial_sum"] - 1.0) <= row["error_bound"] <= 1e-12
+
+    def test_matrix(self, n, capsys):
+        assert main(["matrix", "--n", str(n), "--p", "3",
+                     "--max-digits", "2"]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert (summary["n"], summary["size"]) == (n, 4)
+
+    def test_chaos(self, n, capsys):
+        assert main(["chaos", "--n", str(n), "--t", "3/4",
+                     "--samples", "10"]) == 0
+        fields = capsys.readouterr().out.splitlines()[1].split()
+        assert [float(x) for x in fields[1:4]] == [1.0, 0.0, 1.0]
+
+
 class TestTolerance:
     @pytest.mark.parametrize("tol", ["inf", "nan"])
     @pytest.mark.parametrize("command", [
@@ -347,7 +388,7 @@ class TestTolerance:
         ["chaos", "--t", "1/4", "--samples", "10"],
     ], ids=["muhat", "matrix", "parseval", "chaos"])
     def test_tol_whose_half_underflows_rejected(self, command, capsys):
-        # the smallest subnormal halves to 0.0, and the walk takes log(tol / 2)
+        # the smallest subnormal halves to 0.0, which tol's checks reject
         assert main([*command, "--tol", "5e-324"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -380,7 +380,8 @@ class TestMuHat:
         lambda tol: next(mu_hat_differences(0.3, N2, [0], tol=tol)),
     ], ids=["mu_hat", "mu_hat_many", "mu_hat_differences"])
     def test_rejects_tol_whose_half_underflows(self, evaluate):
-        # the walk is sized by log(tol / 2); the next float up still works
+        # tol changes no value, but a tol whose half underflows is still
+        # rejected; the next float up works
         with pytest.raises(ValueError, match="tol / 2 underflows to 0"):
             evaluate(5e-324)
         evaluate(1e-323)
@@ -431,14 +432,14 @@ class TestMuHat:
 
 @st.composite
 def walk_numerators(draw, base):
-    """reduction_numerators, plus numerators between 2^55 and 2^62, where
-    an int64 walk gives way to Python ints (at 2^61 / 2n), and ones whose
+    """reduction_numerators, plus numerators between 2^49 and 2^62, where
+    an int64 walk gives way to Python ints (at 2^55 / 2n), and ones whose
     reduction takes a -1 step, (2n)^k (4m + 2)."""
     k = draw(st.integers(1, 12))
     sign = draw(st.sampled_from([-1, 1]))
     return draw(st.one_of(
         reduction_numerators(base),
-        st.integers(2**55, 2**62).map(lambda x: sign * x),
+        st.integers(2**49, 2**62).map(lambda x: sign * x),
         st.integers(-10**6, 10**6).map(lambda m: base**k * (4 * m + 2)),
     ))
 
@@ -448,8 +449,8 @@ class TestMuHatMany:
     @settings(max_examples=300, deadline=None)
     def test_equals_scalar_mu_hat(self, data):
         # every field of every element == the scalar mu_hat, in an int64
-        # array and in an object array alike; at tol 1e-15 every walk misses
-        # its bound and takes the retry, at 1e3 none does
+        # array and in an object array alike; tol is checked but changes no
+        # value, so 1e-15 and 1e3 give the bits of the default
         params = BernoulliParams(data.draw(st.integers(1, 7)))
         numers = data.draw(st.lists(walk_numerators(params.base),
                                     min_size=1, max_size=40))
@@ -460,6 +461,29 @@ class TestMuHatMany:
         codes, values = mu_hat_many(np.array(numers, dtype=dtype), params, tol)
         assert [values[c] for c in codes.tolist()] == [
             mu_hat(QuarterInt(x), params, tol) for x in numers]
+
+    @pytest.mark.parametrize("dtype", [np.int64, object])
+    @pytest.mark.parametrize("n", [1, 2, 40])
+    def test_equals_scalar_mu_hat_across_the_series_switch(self, n, dtype):
+        # |numer| / 4 = (2n)^k / 128 + (-1, 0, +1) / 4 puts s_k =
+        # |numer| / (2 (2n)^k) just below, on and just above 1/64, where
+        # the closed form takes over; a key divisible by 2n would be reduced
+        # away from there.  At 2n = 80 the first s_k < 1 is already <= 1/64
+        # for some keys (no cosine at y < 1) and above it for others.
+        params = BernoulliParams(n)
+        base = params.base
+        numers = [sign * (base**k // 32 + d) for k in range(1, 8)
+                  for d in (-1, 0, 1) for sign in (1, -1)]
+        numers = [x for x in numers if x % base]
+        if n == 40:
+            # s_k at the first s_k < 1 of each key
+            first = [Fraction(abs(x), 2 * base ** next(
+                k for k in range(1, 9) if abs(x) < 2 * base**k))
+                for x in numers]
+            assert min(first) <= Fraction(1, 64) < max(first)
+        codes, values = mu_hat_many(np.array(numers, dtype=dtype), params)
+        assert [values[c] for c in codes.tolist()] == [
+            mu_hat(QuarterInt(x), params) for x in numers]
 
     def test_empty(self):
         codes, values = mu_hat_many(np.array([], dtype=np.int64), N2)
@@ -521,6 +545,23 @@ class TestChaosGame:
         ref = mu_hat_product(t, params, 64)
         assert abs(est.estimate - ref.value) <= \
             4.0 * est.std_error + ref.error_bound
+
+    @pytest.mark.parametrize("params", [BernoulliParams(1), N2, N3])
+    def test_sample_is_its_signed_digit_expansion(self, params):
+        # one sample, rebuilt exactly from the same generator's bytes: byte j
+        # holds the signs of digits 8j + 1 .. 8j + 8, low bit first, down to
+        # the first whole byte past float resolution
+        base, t = params.base, 0.37
+        depth = math.ceil(53.0 * math.log(2.0) / math.log(base)) + 1
+        rng = np.random.default_rng(9)
+        x = Fraction(0)
+        for j in range(-(-depth // 8)):
+            byte = int(rng.integers(0, 256, size=1, dtype=np.uint8)[0])
+            x += sum(Fraction(2 * ((byte >> i) & 1) - 1, base ** (8 * j + i + 1))
+                     for i in range(8))
+        est = chaos_game_estimate(t, params, 1, seed=9)
+        assert est.estimate == pytest.approx(
+            math.cos(2.0 * math.pi * t * float(x)), abs=1e-14)
 
     def test_single_sample(self):
         est = chaos_game_estimate(1.0, N2, 1, seed=0)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import importlib.util
 import random
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
 
@@ -28,7 +29,7 @@ _spec.loader.exec_module(oracle)
 # expansions and spectrum-basis Parseval rows share their arguments
 transform = functools.lru_cache(maxsize=None)(oracle.transform)
 
-NS = (2, 3, 4, 5, 7)
+NS = (1, 2, 3, 4, 5, 6, 7)
 # decimal frequencies for expansions and Parseval tables; 12345.5 and
 # 1.2345e20 are quarter-integers, the others are not
 DECIMALS = (0.3, -41.7, 123.456789, 12345.5, 1.2345e20)
@@ -63,7 +64,19 @@ def float_points(n: int) -> list[float]:
     return points
 
 
-def exact_value(t: QuarterInt | float) -> Fraction:
+def switch_points(n: int) -> list[Fraction]:
+    """Points whose closed-form tail starts just below, at or just above 1/64.
+
+    At x = (2n)^j / 128 * (1 + e 2^-20), s_j = 2|x| / (2n)^j is 1/64 moved
+    by e 2^-20, and the walk takes the factors from s_j or from s_(j+1) on
+    in closed form.
+    """
+    base = 2 * n
+    return [sign * Fraction(base**j, 128) * (1 + Fraction(e, 2**20))
+            for j in (0, 1, 2, 3, 6) for e in (-1, 0, 1) for sign in (1, -1)]
+
+
+def exact_value(t: QuarterInt | Fraction | float) -> Fraction:
     if isinstance(t, QuarterInt):
         return Fraction(t.numerator, 4)
     return Fraction(t)
@@ -111,6 +124,42 @@ def test_quarter_integers_within_bounds(n):
 @pytest.mark.parametrize("n", NS)
 def test_floats_within_bounds(n):
     assert problems_for(n, float_points(n)) == []
+
+
+@pytest.mark.parametrize("n", NS)
+def test_series_switch_within_bounds(n):
+    points = switch_points(n)
+    assert problems_for(n, points + [float(x) for x in points]) == []
+
+
+def viete(x: Fraction) -> Decimal:
+    """sin(2 pi x) / (2 pi x): the transform at n = 1 in closed form."""
+    with localcontext(Context(prec=oracle.PRECISION)):
+        # sin(2 pi x) = cos(pi (2x - 1/2)), reduced exactly by the oracle
+        return oracle.cospi(2 * x - Fraction(1, 2)) / (
+            2 * oracle.PI * Decimal(x.numerator) / Decimal(x.denominator))
+
+
+def test_n1_matches_viete():
+    # prod_k cos(2 pi x / 2^k) = sin(2 pi x) / (2 pi x): a check that does
+    # not walk the product at all.  Its zeros are the nonzero
+    # half-integers, the zero set at n = 1.
+    params = BernoulliParams(1)
+    points = [*switch_points(1), *float_points(1)[:8], Fraction(1, 3),
+              Fraction(-22, 7),
+              *(QuarterInt(k) for k in (1, 2, 3, 6, -9, 4001))]
+    problems = []
+    for t in points:
+        x = exact_value(t)
+        result = mu_hat(t, params)
+        if result.exact_zero != ((2 * x).denominator == 1):
+            problems.append(f"t={t}: exact_zero={result.exact_zero}")
+        elif not result.exact_zero:
+            problem = oracle.certified_problem(
+                result.sign, result.magnitude, result.error_bound, viete(x))
+            if problem:
+                problems.append(f"t={t}: {problem}")
+    assert problems == []
 
 
 @pytest.mark.parametrize("n", (2, 3, 4))
