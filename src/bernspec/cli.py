@@ -50,11 +50,28 @@ OUTPUT_DIR_ENV = "BERNSPEC_OUTPUT_DIR"
 
 
 def parse_frequency(text: str) -> QuarterInt | float:
-    """Quarter-integer strings stay exact; anything else parses as float."""
+    """Quarter-integer strings stay exact; anything else parses as float.
+
+    An integer past the interpreter's limit on converting a string to an
+    int (sys.get_int_max_str_digits) is rejected, not read as a float.
+    """
     try:
         return QuarterInt.parse(text)
     except ValueError:
         pass
+    body = text.strip()
+    for part in body.split("/", 1):
+        digits = part.strip().lstrip("+-")
+        if digits.isdecimal():
+            try:
+                int(digits)
+            except ValueError:
+                # a decimal string int() refuses is one past the limit
+                echo = body if len(body) <= 40 else f"{body[:20]}...{body[-10:]}"
+                raise ValueError(
+                    f"cannot parse {echo!r}: an integer of {len(digits)} "
+                    f"digits, over the limit of "
+                    f"{sys.get_int_max_str_digits()}") from None
     try:
         return float(text)
     except ValueError:

@@ -19,7 +19,8 @@ level whatever tol is; mu_hat_product is the fixed-length truncation, an
 independent reference.  mu_hat_differences takes the transform at
 t - scale * gamma over a whole spectrum truncation along the digit tree of
 the Cuntz isometries: one cosine per tree node, and one walk per point for
-the factors below it.
+the factors below it.  It yields plain (value, error_bound) pairs, None for
+an exact zero, and writes the bound arithmetic of its loops out in place.
 mu_hat_many is mu_hat over an array of quarter-integers as codes into a
 table of values: one reduction, one batched walk over the distinct
 |reduced|, and the same bits as the scalar mu_hat, which stays the
@@ -539,9 +540,16 @@ def _tail(numer: int, denom: int, base: int) -> tuple[float, float] | None:
         prod = new_prod
         den *= base
     s, slop = _series_sum(twice / den, base)
+    # _times, inlined: its exact +-1 case needs value_err = 0, and this
+    # value_err is positive; then min(err, 1 + |prod|)
     value = math.exp(-s)
-    prod, err = _times(prod, err, value, slop + _EPS * value)
-    return prod, min(err, 1.0 + abs(prod))
+    value_err = slop + _EPS * value
+    new_prod = prod * value
+    growth = abs(value) + value_err
+    err = (0.5 * _EPS * abs(new_prod) + abs(prod) * value_err
+           + err * (growth if growth < 1.0 else 1.0) + _UNDERFLOW)
+    cap = 1.0 + abs(new_prod)
+    return new_prod, (cap if cap < err else err)
 
 
 def _products(numers: np.ndarray, base: int) -> tuple[np.ndarray, np.ndarray]:
@@ -718,7 +726,7 @@ def mu_hat_differences(
     points: list[int],
     scale: int = 1,
     tol: float = DEFAULT_TOL,
-) -> Iterator[MuHatValue]:
+) -> Iterator[tuple[float, float] | None]:
     """The transform at t - scale * gamma for every point of a truncation.
 
     points holds 4 * gamma for the 2^d spectrum words m = 0, 1, ... in
@@ -736,8 +744,11 @@ def mu_hat_differences(
     the tail mu_hat((t - scale gamma_m) / (2n)^L), which holds the factors
     k > L.  The tail sits at the word's own length, so a value does not
     depend on d.  Values come out in counting order, one tree level at a
-    time, each within its certified error_bound; a zero factor, at a node
-    or in a tail, gives an exact zero.
+    time, as pairs (value, error_bound): the signed value, 0.0 when it is
+    zero without being an exact zero, and its certified bound.  A zero
+    factor, at a node or in a tail, gives None, an exact zero.  The bound
+    covers the value mu_hat certifies at the same exact difference, and
+    None comes exactly where mu_hat returns an exact zero.
     """
     _check_tol(tol)
     depth = len(points).bit_length() - 1
@@ -751,46 +762,68 @@ def mu_hat_differences(
     step = scale * (denom // 4)
     base = params.base
     odd = scale * params.n % 2 == 1
+    # the hot loops below are _times and _cospi_ratio written out, with the
+    # same float operations in the same order
+    tail_of, cospi = _tail, _cospi_reduced
+    half_eps, factor_err, underflow = 0.5 * _EPS, _RATIO_FACTOR_ERR, _UNDERFLOW
 
-    def child(parent: tuple[float, float] | None, r: int,
-              den: int) -> tuple[float, float] | None:
-        # node (k, r) from its parent (k - 1, r mod 2^(k-1)); den is
-        # denom (2n)^k, and None marks an exact zero
-        if parent is None:
-            return None
-        factor = _cospi_ratio(
-            2 * abs(numer - step * points[r]) % (2 * den), den)
-        return None if factor is None else _times(*parent, *factor)
-
-    def word(m: int, node: tuple[float, float] | None, den: int) -> MuHatValue:
-        # the whole tail below the word's nodes, every zero factor decided
-        tail = None if node is None else _tail(
-            numer - step * points[m], den, base)
-        if tail is None:
-            return MuHatValue.zero()
-        prod, err = _times(*node, *tail)
-        if odd and (m >> 1).bit_count() % 2 == 1:
-            prod = -prod
-        return MuHatValue(False, -1 if prod < 0.0 else 1, abs(prod),
-                          min(err, 1.0 + abs(prod)))
-
-    nodes: list[tuple[float, float] | None] = [(1.0, 0.0)]
-    yield word(0, nodes[0], denom)
+    # level holds the nodes (k, r) of one tree level, (prod, err) or None
+    # for an exact zero; the words of length k are 2^(k-1) <= m < 2^k
+    level: list[tuple[float, float] | None] = [(1.0, 0.0)]
+    words = range(1)
     den = denom
-    for length in range(1, depth + 1):
-        den *= base
-        half = len(nodes)
-        deeper = length < depth
-        # the words of this length are the upper half of the level
-        for r in range(half):
-            node = child(nodes[r], half + r, den)
-            yield word(half + r, node, den)
-            if deeper:
-                nodes.append(node)
-        # the lower half only serves longer words; it replaces its parents
-        if deeper:
-            for r in range(half):
-                nodes[r] = child(nodes[r], r, den)
+    for length in range(depth + 1):
+        if length:
+            # den is denom (2n)^k
+            den *= base
+            parents, half = level, len(level)
+            words = range(half, 2 * half)
+            zeros = (den // 2, 3 * den // 2)
+            # the lower half of a level only serves longer words
+            level = [None] * half if length == depth else []
+            for r in range(len(level), 2 * half):
+                node = parents[r & (half - 1)]
+                if node is not None:
+                    num = 2 * abs(numer - step * points[r]) % (2 * den)
+                    if num in zeros:
+                        node = None
+                    elif num == den:
+                        node = (-node[0], node[1])
+                    elif num:
+                        prod, err = node
+                        value = cospi(num / den)
+                        new_prod = prod * value
+                        growth = abs(value) + factor_err
+                        node = (new_prod,
+                                half_eps * abs(new_prod) + abs(prod) * factor_err
+                                + err * (growth if growth < 1.0 else 1.0)
+                                + underflow)
+                level.append(node)
+        for m in words:
+            node = level[m]
+            if node is None:
+                yield None
+                continue
+            prod, err = node
+            # the whole tail below the word's nodes, every zero factor
+            # decided; at t - scale gamma_m = 0 it is exactly 1
+            diff = numer - step * points[m]
+            if diff:
+                tail = tail_of(diff, den, base)
+                if tail is None:
+                    yield None
+                    continue
+                value, value_err = tail
+                new_prod = prod * value
+                growth = abs(value) + value_err
+                err = (half_eps * abs(new_prod) + abs(prod) * value_err
+                       + err * (growth if growth < 1.0 else 1.0) + underflow)
+                prod = new_prod
+            cap = 1.0 + abs(prod)
+            # the digits' sign; 0.0 - and + 0.0 also turn a -0.0 into 0.0
+            value = (0.0 - prod if odd and (m >> 1).bit_count() & 1
+                     else prod + 0.0)
+            yield value, (cap if cap < err else err)
 
 
 class ChaosEstimate(NamedTuple):

@@ -12,6 +12,7 @@ given by the transform at difference arguments.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -165,10 +166,11 @@ def expand_exponential(
     for w, c in zip(enumerate_spectrum(params, max_digits),
                     mu_hat_differences(
                         t, params, point_numerators(params, max_digits), 1, tol)):
-        if not c.exact_zero:
-            coefficients[w], error_bounds[w] = c.value, c.error_bound
-    accounted = sum(c * c for c in coefficients.values())
-    padding = 2.0 * sum(
+        if c is not None:
+            coefficients[w], error_bounds[w] = c
+    # fsum: exactly rounded, so the bound is the same on every Python
+    accounted = math.fsum(c * c for c in coefficients.values())
+    padding = 2.0 * math.fsum(
         abs(coefficients[w]) * error_bounds[w] for w in coefficients)
     residual = max(0.0, 1.0 - accounted + padding)
     return CoeffVector(coefficients, error_bounds, residual)
@@ -202,8 +204,8 @@ def parseval_table(
     for index, c in enumerate(
             mu_hat_differences(t, params, point_numerators(params, max_digits),
                                scale, tol)):
-        if not c.exact_zero:
-            coeff, coeff_err = c.value, c.error_bound
+        if c is not None:
+            coeff, coeff_err = c
             total += coeff * coeff
             err += 2.0 * abs(coeff) * coeff_err + coeff_err * coeff_err
             err += _EPS * abs(total)  # summation rounding

@@ -39,6 +39,18 @@ class TestParseFrequency:
         with pytest.raises(ValueError):
             parse_frequency("abc")
 
+    @pytest.mark.parametrize("t", ["1" * 5000, "1" * 5000 + "/4",
+                                   "-3/" + "1" * 5000],
+                             ids=["integer", "numerator", "denominator"])
+    def test_integer_past_the_conversion_limit_rejected(self, t, capsys):
+        # int() refuses it; float() would read it as inf
+        if not hasattr(sys, "get_int_max_str_digits"):
+            pytest.skip("this interpreter converts integers of any length")
+        assert main(["muhat", f"--t={t}"]) == 2
+        err = capsys.readouterr().err
+        assert "an integer of 5000 digits" in err
+        assert "inf" not in err and len(err) < 200
+
 
 class TestMuhat:
     def test_exact_zero(self, capsys):

@@ -14,11 +14,13 @@ from bernspec.spectrum import (
     check_budget,
     check_word,
     enumerate_spectrum,
+    index_word,
     parse_word,
     point_numerators,
     scale_value,
     stratum_index,
     tilde_stratum_index,
+    word_indices,
     word_to_bits,
     word_value,
 )
@@ -127,6 +129,15 @@ class TestEnumerate:
             expected = sorted(enumerate_spectrum(params, d), key=lambda w: (
                 -1 if not w else stratum_index(w), word_value(w, params)))
             assert enumerate_spectrum(params, d, order="strata") == expected
+
+    @pytest.mark.parametrize("order", ["value", "strata"])
+    @pytest.mark.parametrize("params", [BernoulliParams(1), N2, N4],
+                             ids=["n=1", "n=2", "n=4"])
+    def test_words_are_the_tuples_of_word_indices(self, params, order):
+        # the doubled list against one index_word per index
+        for d in range(0, 11):
+            assert enumerate_spectrum(params, d, order) == [
+                index_word(m) for m in word_indices(d, order)]
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
