@@ -1,10 +1,11 @@
-"""Isometries on digit words, exponential expansions, and the scaled operator.
+"""Isometries on word indices, exponential expansions, and the scaled operator.
 
 The two isometries act on basis exponentials indexed by spectrum points:
-one sends a point to 2n times it (prepend bit 0), the other to 2n times it
-plus n/2 (prepend bit 1).  Together they satisfy the Cuntz relations: each
-adjoint strips a matching leading bit and annihilates otherwise, and the
-two ranges resolve the identity.  The scaled operator sends the basis
+one sends a point to 2n times it (prepend bit 0, word m to word 2m), the
+other to 2n times it plus n/2 (prepend bit 1, word m to word 2m + 1).
+Together they satisfy the Cuntz relations: each adjoint strips a matching
+leading bit (halves the index) and annihilates otherwise, and the two
+ranges resolve the identity.  The scaled operator sends the basis
 exponential at gamma to the exponential at p*gamma; its column at gamma is
 the expansion of that exponential back in the basis, with coefficients
 given by the transform at difference arguments.
@@ -26,56 +27,56 @@ from bernspec.exact import (
 from bernspec.report import CheckReport
 from bernspec.spectrum import (
     Word,
-    check_word,
+    check_index,
     enumerate_spectrum,
+    index_bits,
     point_numerators,
     word_to_bits,
-    word_value,
 )
 
 _EPS = sys.float_info.epsilon
 
 
 # ---------------------------------------------------------------------------
-# word-level isometries
+# isometries on word indices
+#
+# Word m is the binary digits of m, low digit first, so prepending a digit
+# b is m -> 2m + b and stripping the leading digit is m -> m >> 1.
 
 
-def prepend_zero(word: Word) -> Word:
-    """Isometry gamma -> 2n * gamma; fixes the zero word."""
-    check_word(word)
-    return (0,) + word if word else ()
+def prepend_zero(m: int) -> int:
+    """Isometry gamma -> 2n * gamma: word m to word 2m; fixes the zero word."""
+    check_index(m)
+    return 2 * m
 
 
-def prepend_one(word: Word) -> Word:
-    """Isometry gamma -> 2n * gamma + n/2."""
-    check_word(word)
-    return (1,) + word
+def prepend_one(m: int) -> int:
+    """Isometry gamma -> 2n * gamma + n/2: word m to word 2m + 1."""
+    check_index(m)
+    return 2 * m + 1
 
 
-def strip_zero(word: Word) -> Word | None:
-    """Adjoint of prepend_zero: remove a leading 0 bit, else annihilate."""
-    check_word(word)
-    if not word:
-        return ()
-    return word[1:] if word[0] == 0 else None
+def strip_zero(m: int) -> int | None:
+    """Adjoint of prepend_zero: halve an even index, else annihilate."""
+    check_index(m)
+    return None if m & 1 else m >> 1
 
 
-def strip_one(word: Word) -> Word | None:
-    """Adjoint of prepend_one: remove a leading 1 bit, else annihilate."""
-    check_word(word)
-    if word and word[0] == 1:
-        return word[1:]
-    return None
+def strip_one(m: int) -> int | None:
+    """Adjoint of prepend_one: halve an odd index, else annihilate."""
+    check_index(m)
+    return m >> 1 if m & 1 else None
 
 
 def verify_cuntz_relations(params: BernoulliParams, max_digits: int) -> CheckReport:
     """Check the Cuntz relations on every word of the truncated spectrum.
 
-    Seven checks per word w: adjoints invert their isometries at w (two),
+    Seven checks per word m: adjoints invert their isometries at m (two),
     mismatched adjoints annihilate (two), the two ranges resolve the
-    identity (exactly one of strip_zero(w), strip_one(w) is defined, counting
+    identity (exactly one of strip_zero(m), strip_one(m) is defined, counting
     the zero word under bit 0, and the matching isometry maps it back to
-    w), and both isometries have their value-level semantics (two).
+    m), and both isometries have their value-level semantics (two), read
+    from the numerators 4 * gamma of point_numerators.
 
     These imply the inner-product adjointness <S_i w, v> = <w, S_i* v> on
     every pair (w, v) of the truncation, so no pair is visited:
@@ -83,29 +84,36 @@ def verify_cuntz_relations(params: BernoulliParams, max_digits: int) -> CheckRep
     if strip_i(v) == w, then prepend_i(w) == v by the resolution check at v.
     """
     report = CheckReport(f"cuntz(n={params.n}, digits<={max_digits})")
-    base, half = params.base, params.half_n
-    for w in enumerate_spectrum(params, max_digits):
-        report.checked += 7
-        bits = word_to_bits(w)
-        up_zero, up_one = prepend_zero(w), prepend_one(w)
-        if strip_zero(up_zero) != w:
-            report.add(f"strip0(prepend0) != id at {bits!r}")
-        if strip_one(up_one) != w:
-            report.add(f"strip1(prepend1) != id at {bits!r}")
+    base = params.base  # 4 * (n/2), the numerator of the added digit
+    numers = point_numerators(params, max_digits)  # checks depth and budget
+    count = len(numers)
+    # one level deeper, where the isometries land: word m + 2^d adds the
+    # digit (n/2)(2n)^d, whose numerator is base^(d + 1)
+    top = base ** (max_digits + 1)
+    numers += [numer + top for numer in numers]
+    size = len(numers)
+    for m in range(count):
+        up_zero, up_one = prepend_zero(m), prepend_one(m)
+        if strip_zero(up_zero) != m:
+            report.add(f"strip0(prepend0) != id at {index_bits(m)!r}")
+        if strip_one(up_one) != m:
+            report.add(f"strip1(prepend1) != id at {index_bits(m)!r}")
         if strip_one(up_zero) is not None:
-            report.add(f"strip1(prepend0) != 0 at {bits!r}")
+            report.add(f"strip1(prepend0) != 0 at {index_bits(m)!r}")
         if strip_zero(up_one) is not None:
-            report.add(f"strip0(prepend1) != 0 at {bits!r}")
-        down_zero, down_one = strip_zero(w), strip_one(w)
-        if (down_zero is None) == (down_one is None) or w != (
+            report.add(f"strip0(prepend1) != 0 at {index_bits(m)!r}")
+        down_zero, down_one = strip_zero(m), strip_one(m)
+        if (down_zero is None) == (down_one is None) or m != (
                 prepend_zero(down_zero) if down_one is None
                 else prepend_one(down_one)):
-            report.add(f"identity resolution fails at {bits!r}")
-        value = word_value(w, params)
-        if word_value(up_zero, params) != base * value:
-            report.add(f"prepend0 value wrong at {bits!r}")
-        if word_value(up_one, params) != base * value + half:
-            report.add(f"prepend1 value wrong at {bits!r}")
+            report.add(f"identity resolution fails at {index_bits(m)!r}")
+        scaled = base * numers[m]
+        # an index outside the table is a wrong word, so a wrong value
+        if not 0 <= up_zero < size or numers[up_zero] != scaled:
+            report.add(f"prepend0 value wrong at {index_bits(m)!r}")
+        if not 0 <= up_one < size or numers[up_one] != scaled + base:
+            report.add(f"prepend1 value wrong at {index_bits(m)!r}")
+    report.checked = 7 * count
     return report
 
 

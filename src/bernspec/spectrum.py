@@ -33,6 +33,14 @@ def check_word(word: Word) -> None:
         raise ValueError(f"not a canonical digit word: {word!r}")
 
 
+def check_index(m: int) -> None:
+    """Raise TypeError unless m is an int (bool excluded), ValueError if negative."""
+    if not isinstance(m, int) or isinstance(m, bool):
+        raise TypeError(f"not a word index: {m!r}")
+    if m < 0:
+        raise ValueError(f"not a word index: {m!r} is negative")
+
+
 def word_value(word: Word, params: BernoulliParams) -> QuarterInt:
     """The spectrum point of a digit word: sum_i b_i (n/2) (2n)^i."""
     check_word(word)

@@ -216,18 +216,22 @@ class TestMatrix:
 
 
 class TestVerify:
-    @pytest.mark.parametrize("suite", [
-        "block-diagonal", "block-equality", "commute-even", "commute-odd",
-        "multiplication", "w0-sparsity",
+    @pytest.mark.parametrize("suite,digits,count", [
+        *[pytest.param(suite, 12, "16777216 word pairs", id=suite) for suite in (
+            "block-diagonal", "block-equality", "commute-even", "commute-odd",
+            "multiplication", "w0-sparsity")],
+        # on its 2^d words, not on the level below them that it also reads
+        pytest.param("cuntz", 23, "8388608 words", id="cuntz"),
     ])
-    def test_oversized_request_rejected(self, suite, monkeypatch, capsys):
-        # rejected on the projected pair count, before any word or
-        # numerator is listed
+    def test_oversized_request_rejected(self, suite, digits, count, monkeypatch,
+                                        capsys):
+        # rejected on the projected count, before any word or numerator is
+        # listed
         monkeypatch.setattr(matrixlab, "point_numerators", None)
-        assert main(["verify", suite, "--max-digits", "12"]) == 2
+        assert main(["verify", suite, "--max-digits", str(digits)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert ("max_digits 12 needs 16777216 word pairs, over the size "
+        assert (f"max_digits {digits} needs {count}, over the size "
                 "budget of 4194304") in captured.err
 
     @pytest.mark.parametrize("argv", [

@@ -27,7 +27,6 @@ from bernspec.matrixlab import (
     verify_odd_twisted_relations,
     verify_w0_sparsity,
 )
-from bernspec.operators import prepend_one, prepend_zero
 from bernspec.spectrum import (
     TILDE_ONE_POINT,
     enumerate_spectrum,
@@ -40,6 +39,16 @@ from bernspec.spectrum import (
 
 N2P5 = BernoulliParams(2, 5)
 N3P3 = BernoulliParams(3, 3)
+
+
+def prepend_zero(word):
+    """Reference isometry on digit tuples: gamma -> 2n * gamma."""
+    return (0,) + word if word else ()
+
+
+def prepend_one(word):
+    """Reference isometry on digit tuples: gamma -> 2n * gamma + n/2."""
+    return (1,) + word
 
 
 def u_entry(row, col, params):

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bernspec import operators
+from bernspec import operators, spectrum
 from bernspec.exact import (
     BernoulliParams,
     QuarterInt,
@@ -33,6 +33,7 @@ from bernspec.operators import (
 )
 from bernspec.spectrum import (
     enumerate_spectrum,
+    index_word,
     point_numerators,
     scale_value,
     stratum_index,
@@ -44,43 +45,62 @@ P25 = BernoulliParams(2, 5)
 P43 = BernoulliParams(4, 3)
 
 
-def canonical_words(max_len: int = 8):
-    return st.integers(0, max_len).flatmap(
-        lambda m: st.just(()) if m == 0 else st.tuples(
-            *([st.integers(0, 1)] * (m - 1))
-        ).map(lambda bits: bits + (1,))
-    )
+# word indices of up to 10 digits
+word_indices = st.integers(0, 2**10 - 1)
 
 
 class TestIsometries:
     def test_prepend(self):
-        assert prepend_zero(()) == ()          # fixes the zero word
-        assert prepend_zero((1,)) == (0, 1)
-        assert prepend_one(()) == (1,)
-        assert prepend_one((0, 1)) == (1, 0, 1)
+        assert prepend_zero(0) == 0          # fixes the zero word
+        assert prepend_zero(1) == 2          # (1,) -> (0, 1)
+        assert prepend_one(0) == 1           # () -> (1,)
+        assert prepend_one(2) == 5           # (0, 1) -> (1, 0, 1)
 
     def test_strip(self):
-        assert strip_zero((0, 1)) == (1,)
-        assert strip_zero((1,)) is None
-        assert strip_zero(()) == ()            # adjoint also fixes it
-        assert strip_one((1,)) == ()
-        assert strip_one((1, 0, 1)) == (0, 1)
-        assert strip_one(()) is None
-        assert strip_one((0, 1)) is None
+        assert strip_zero(2) == 1            # (0, 1) -> (1,)
+        assert strip_zero(1) is None
+        assert strip_zero(0) == 0            # adjoint also fixes it
+        assert strip_one(1) == 0             # (1,) -> ()
+        assert strip_one(5) == 2             # (1, 0, 1) -> (0, 1)
+        assert strip_one(0) is None
+        assert strip_one(2) is None
 
-    @given(canonical_words(), st.sampled_from([N2, BernoulliParams(3)]))
-    def test_value_semantics(self, word, params):
-        v = word_value(word, params)
-        assert word_value(prepend_zero(word), params) == params.base * v
-        assert word_value(prepend_one(word), params) == \
+    @given(word_indices)
+    def test_digit_tuple_semantics(self, m):
+        # the tuple forms are references only: prepend or strip one digit
+        word = index_word(m)
+        assert index_word(prepend_zero(m)) == ((0,) + word if m else ())
+        assert index_word(prepend_one(m)) == (1,) + word
+        if not word or word[0] == 0:
+            assert strip_one(m) is None
+            assert index_word(strip_zero(m)) == word[1:]
+        else:
+            assert strip_zero(m) is None
+            assert index_word(strip_one(m)) == word[1:]
+
+    @given(word_indices, st.sampled_from([N2, BernoulliParams(3)]))
+    def test_value_semantics(self, m, params):
+        v = word_value(index_word(m), params)
+        assert word_value(index_word(prepend_zero(m)), params) == params.base * v
+        assert word_value(index_word(prepend_one(m)), params) == \
             params.base * v + params.half_n
 
-    @given(canonical_words())
-    def test_relations_pointwise(self, word):
-        assert strip_zero(prepend_zero(word)) == word
-        assert strip_one(prepend_one(word)) == word
-        assert strip_one(prepend_zero(word)) is None
-        assert strip_zero(prepend_one(word)) is None
+    @given(word_indices)
+    def test_relations_pointwise(self, m):
+        assert strip_zero(prepend_zero(m)) == m
+        assert strip_one(prepend_one(m)) == m
+        assert strip_one(prepend_zero(m)) is None
+        assert strip_zero(prepend_one(m)) is None
+
+    def test_rejects_anything_but_a_word_index(self):
+        for isometry in (prepend_zero, prepend_one, strip_zero, strip_one):
+            # a digit tuple would pass through 2 * m as (1, 1)
+            for bad in ((1,), (), 2.0, "1", True, None):
+                with pytest.raises(TypeError, match="not a word index"):
+                    isometry(bad)
+            for bad in (-1, -2**70):
+                with pytest.raises(ValueError, match="not a word index"):
+                    isometry(bad)
 
     def test_verify_cuntz(self):
         for n in (2, 3, 4):
@@ -90,18 +110,39 @@ class TestIsometries:
 
     @pytest.mark.parametrize("name,broken", [
         # a strip that returns a wrong word: drops two digits
-        ("strip_one", lambda w: w[2:] if w and w[0] == 1 else None),
+        ("strip_one", lambda m: m >> 2 if m & 1 else None),
         # a strip that fails to annihilate words starting with 1
-        ("strip_zero", lambda w: w[1:]),
+        ("strip_zero", lambda m: m >> 1),
         # a prepend that returns a wrong word: two zero digits
-        ("prepend_zero", lambda w: (0, 0) + w if w else ()),
+        ("prepend_zero", lambda m: 4 * m),
         # a prepend whose value has one extra top digit
-        ("prepend_one", lambda w: (1,) + w + (1,)),
+        ("prepend_one", lambda m: 2 * m + 1 + (1 << (m.bit_length() + 1))),
     ])
     def test_verify_cuntz_rejects_broken_isometry(self, monkeypatch, name, broken):
         monkeypatch.setattr(operators, name, broken)
         for n in (2, 3, 4):
             assert not verify_cuntz_relations(BernoulliParams(n), 4).passed
+
+    def test_verify_cuntz_reaches_no_tuple_word(self, monkeypatch):
+        # the suite runs on indices and numerators: no word tuple, no value
+        for module in (spectrum, operators):
+            for name in ("word_value", "enumerate_spectrum", "check_word",
+                         "word_to_bits", "index_word"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, None)
+        for n in (2, 3, 4):
+            report = verify_cuntz_relations(BernoulliParams(n), 8)
+            assert report.passed, report.lines()
+            assert report.checked == 7 * 2**8
+
+    @pytest.mark.parametrize("digits,message", [
+        (-1, "max_digits must be >= 0"),
+        # the budget is on the 2^d words, not on the one deeper level
+        (23, "max_digits 23 needs 8388608 words, over the size budget of 4194304"),
+    ], ids=["negative", "over-budget"])
+    def test_verify_cuntz_rejects_depth(self, digits, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            verify_cuntz_relations(N2, digits)
 
 
 def operator_column(word, params, max_digits):
