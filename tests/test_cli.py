@@ -300,22 +300,21 @@ class TestVerify:
         assert captured.err == f"error: max_digits must be >= {least}\n"
 
     def test_all_runs_the_pinned_battery(self, capsys):
+        # each whole line, so a changed check count fails too
         assert main(["verify", "all"]) == 0
-        suites = [line.split(": ")[0]
-                  for line in capsys.readouterr().out.splitlines()]
-        assert suites == [
-            "cuntz(n=2, digits<=8)",
-            "cuntz(n=3, digits<=8)",
-            "cuntz(n=4, digits<=8)",
-            "block-diagonal(n=2, p=5, digits<=6)",
-            "block-diagonal(n=4, p=3, digits<=6)",
-            "block-equality(n=2, p=5, digits<=6, k<=3)",
-            "commute-even(n=2, p=5, digits<=5)",
-            "commute-even(n=4, p=3, digits<=5)",
-            "commute-odd(n=3, p=3, digits<=4)",
-            "commute-odd(n=3, p=5, digits<=4)",
-            "multiplication(n=2, p=5, digits<=6)",
-            "w0-sparsity(digits<=7, classes<=4)",
+        assert capsys.readouterr().out.splitlines() == [
+            "cuntz(n=2, digits<=8): PASS (1792 checks)",
+            "cuntz(n=3, digits<=8): PASS (1792 checks)",
+            "cuntz(n=4, digits<=8): PASS (1792 checks)",
+            "block-diagonal(n=2, p=5, digits<=6): PASS (2730 checks)",
+            "block-diagonal(n=4, p=3, digits<=6): PASS (2730 checks)",
+            "block-equality(n=2, p=5, digits<=6, k<=3): PASS (336 checks)",
+            "commute-even(n=2, p=5, digits<=5): PASS (512 checks)",
+            "commute-even(n=4, p=3, digits<=5): PASS (512 checks)",
+            "commute-odd(n=3, p=3, digits<=4): PASS (512 checks)",
+            "commute-odd(n=3, p=5, digits<=4): PASS (512 checks)",
+            "multiplication(n=2, p=5, digits<=6): PASS (1024 checks)",
+            "w0-sparsity(digits<=7, classes<=4): PASS (3979 checks)",
         ]
 
     def test_unknown_suite_rejected(self, capsys):
