@@ -23,7 +23,6 @@ from bernspec.exact import (
     reduce_numerator,
 )
 from bernspec.report import CheckReport
-# scale_minus, the argument of a matrix entry, is re-exported from here
 from bernspec.spectrum import (
     TILDE_ONE_POINT,
     Word,
@@ -32,7 +31,6 @@ from bernspec.spectrum import (
     index_stratum,
     index_word,
     point_numerators,
-    scale_minus,
     word_indices,
     word_to_bits,
 )
@@ -211,15 +209,50 @@ class TruncatedMatrix:
 # structure verifiers
 
 
-def _at(first: str, first_index: int, second: str, second_index: int) -> str:
-    return (f"{first} {index_bits(first_index)!r}, "
-            f"{second} {index_bits(second_index)!r}")
-
-
 # The pair verifiers hold each word as its index m and run on the numerators
-# 4 * gamma of point_numerators, and compare reduce_numerator's exact (sign,
-# reduced) pairs; a sign 0 marks the zero set.  Prepending k zeros to word m
-# gives word m << k, and a leading 1 gives word 2m + 1.
+# 4 * gamma of point_numerators.  Each declares its columns and rows, and one
+# loop decides every pair from reduce_numerator's exact (sign, reduced)
+# pairs, a sign 0 marking the zero set.  Prepending k zeros to word m gives
+# word m << k, and a leading 1 gives word 2m + 1.
+
+
+def _pair_report(name: str, params: BernoulliParams, max_digits: int,
+                 label: str = "", invalid: str | None = None) -> CheckReport:
+    """The suite's empty report; raises invalid, then the budget on 4^d pairs."""
+    report = CheckReport(f"{name}(n={params.n}, p={params.require_p()}, "
+                         f"digits<={max_digits}{label})")
+    if invalid:
+        raise ValueError(invalid)
+    check_budget(4**max_digits, "word pairs", max_digits)
+    return report
+
+
+def _check_pairs(report: CheckReport, columns: list[tuple],
+                 base: int) -> CheckReport:
+    """Decide every pair of a column and one of its rows, counted in report.
+
+    A column is (col, left, right, flip, rows), a row (row, row_left,
+    row_right, row_flip, failure); col and row are word indices and both
+    flips are +1 or -1.  The pair holds if left - row_left reduces to sign
+    0 when row_right is None, else to (flip * row_flip * sign, reduced)
+    where (sign, reduced) is the reduction of right - row_right.  A failing
+    pair adds its failure, formatted with the bits of row and col.
+    """
+    reduce = reduce_numerator
+    for col, left, right, flip, rows in columns:
+        report.checked += len(rows)
+        for row, row_left, row_right, row_flip, failure in rows:
+            if row_right is None:
+                if reduce(left - row_left, base)[0] == 0:
+                    continue
+            else:
+                want = reduce(right - row_right, base)
+                if flip != row_flip:
+                    want = (-want[0], want[1])
+                if reduce(left - row_left, base) == want:
+                    continue
+            report.add(failure.format(row=index_bits(row), col=index_bits(col)))
+    return report
 
 
 def verify_block_diagonal(params: BernoulliParams, max_digits: int) -> CheckReport:
@@ -228,24 +261,17 @@ def verify_block_diagonal(params: BernoulliParams, max_digits: int) -> CheckRepo
     Decided entirely by the zero-set predicate: for any odd p, the argument
     p*col - row of a cross-stratum pair lands in the zero set.
     """
-    report = CheckReport(
-        f"block-diagonal(n={params.n}, p={params.require_p()}, "
-        f"digits<={max_digits})")
-    check_budget(4**max_digits, "word pairs", max_digits)
-    p, base = params.require_p(), params.base
-    words = [(m, numer, index_stratum(m))
-             for m, numer in enumerate(point_numerators(params, max_digits))]
-    checked = 0
-    for col, col_numer, col_stratum in words:
-        scaled = p * col_numer
-        for row, row_numer, row_stratum in words:
-            if row_stratum != col_stratum:
-                checked += 1
-                if reduce_numerator(scaled - row_numer, base)[0] != 0:
-                    report.add("nonzero entry off the block diagonal at "
-                               + _at("row", row, "col", col))
-    report.checked = checked
-    return report
+    report = _pair_report("block-diagonal", params, max_digits)
+    numers = point_numerators(params, max_digits)
+    failure = "nonzero entry off the block diagonal at row {row!r}, col {col!r}"
+    strata = [index_stratum(m) for m in range(len(numers))]
+    # each column's rows: the words of every other stratum
+    others = {stratum: [(m, numer, None, 1, failure)
+                        for m, numer in enumerate(numers) if strata[m] != stratum]
+              for stratum in set(strata)}
+    return _check_pairs(report, [
+        (m, params.p * numer, None, 1, others[strata[m]])
+        for m, numer in enumerate(numers)], params.base)
 
 
 def verify_block_equality(
@@ -257,27 +283,18 @@ def verify_block_equality(
     stratum-0 block; the check demands identical (sign, reduced argument)
     pairs, which forces equal transform values exactly.
     """
-    report = CheckReport(
-        f"block-equality(n={params.n}, p={params.require_p()}, "
-        f"digits<={max_digits}, k<={k_max})")
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
-    check_budget(4**max_digits, "word pairs", max_digits)
-    p, base = params.require_p(), params.base
-    numers = point_numerators(params, max_digits)
+    report = _pair_report("block-equality", params, max_digits, f", k<={k_max}",
+                          "k_max must be >= 1" if k_max < 1 else None)
+    p, numers = params.p, point_numerators(params, max_digits)
+    columns = []
     for k in range(1, k_max + 1):
+        failure = (f"stratum-{k} entry differs from stratum-0 at "
+                   "row {row!r}, col {col!r}")
         # the stratum-0 words m (odd) whose shift m << k is in the truncation
-        shared = [(m, numers[m], numers[m << k])
-                  for m in range(1, len(numers) >> k, 2)]
-        report.checked += len(shared) ** 2
-        failure = f"stratum-{k} entry differs from stratum-0"
-        for col, col_numer, col_shifted in shared:
-            scaled, scaled_shifted = p * col_numer, p * col_shifted
-            for row, row_numer, row_shifted in shared:
-                if (reduce_numerator(scaled_shifted - row_shifted, base)
-                        != reduce_numerator(scaled - row_numer, base)):
-                    report.add(f"{failure} at {_at('row', row, 'col', col)}")
-    return report
+        shared = range(1, len(numers) >> k, 2)
+        rows = [(m, numers[m << k], numers[m], 1, failure) for m in shared]
+        columns += [(m, p * numers[m << k], p * numers[m], 1, rows) for m in shared]
+    return _check_pairs(report, columns, params.base)
 
 
 def verify_commutation_even(params: BernoulliParams, max_digits: int) -> CheckReport:
@@ -289,29 +306,19 @@ def verify_commutation_even(params: BernoulliParams, max_digits: int) -> CheckRe
     """
     if params.n % 2 != 0:
         raise ValueError("even-n commutation needs even n")
-    report = CheckReport(
-        f"commute-even(n={params.n}, p={params.require_p()}, "
-        f"digits<={max_digits})")
-    check_budget(4**max_digits, "word pairs", max_digits)
-    p, base = params.require_p(), params.base
-    numers = point_numerators(params, max_digits)
+    report = _pair_report("commute-even", params, max_digits)
+    p, numers = params.p, point_numerators(params, max_digits)
     # gamma and xi have at most max_digits - 1 digits; the isometry maps
-    # word m to word 2m
-    inner = [(m, numers[m], numers[2 * m])
-             for m in range(1 << max(0, max_digits - 1))]
-    odd_range = list(enumerate(numers))[1::2]
-    report.checked = len(inner) * (len(inner) + len(odd_range))
-    for g, g_numer, g_shifted in inner:
-        scaled, shifted = p * g_numer, p * g_shifted
-        for x, x_numer, x_shifted in inner:
-            if (reduce_numerator(shifted - x_shifted, base)
-                    != reduce_numerator(scaled - x_numer, base)):
-                report.add("coefficient mismatch at " + _at("gamma", g, "xi", x))
-        # coefficients at odd-range words must vanish for the sides to agree
-        for eta, eta_numer in odd_range:
-            if reduce_numerator(shifted - eta_numer, base)[0] != 0:
-                report.add("leaked coefficient at " + _at("gamma", g, "eta", eta))
-    return report
+    # word m to word 2m.  Coefficients at odd-range words eta must vanish
+    # for the sides to agree.
+    inner = range(1 << max(0, max_digits - 1))
+    rows = [(x, numers[2 * x], numers[x], 1,
+             "coefficient mismatch at gamma {col!r}, xi {row!r}") for x in inner]
+    rows += [(eta, numers[eta], None, 1,
+              "leaked coefficient at gamma {col!r}, eta {row!r}")
+             for eta in range(1, len(numers), 2)]
+    return _check_pairs(report, [
+        (g, p * numers[2 * g], p * numers[g], 1, rows) for g in inner], params.base)
 
 
 def verify_odd_twisted_relations(
@@ -332,34 +339,22 @@ def verify_odd_twisted_relations(
     """
     if params.n % 2 == 0:
         raise ValueError("twisted relations need odd n")
-    report = CheckReport(
-        f"commute-odd(n={params.n}, p={params.require_p()}, "
-        f"digits<={max_digits})")
-    check_budget(4**max_digits, "word pairs", max_digits)
-    p, base = params.require_p(), params.base
-    words = word_indices(max_digits)  # also rejects max_digits < 0
+    report = _pair_report("commute-odd", params, max_digits, invalid=(
+        "max_digits must be >= 0" if max_digits < 0 else None))
     # xi = word x has the even-range word 2x and the mixed-range word
     # 2x + 1, shifted to 4x and 4x + 2: two digits past max_digits
-    numers = point_numerators(params, max_digits + 2)
-    ranges = [(x, numers[2 * x], numers[4 * x], numers[2 * x + 1],
-               numers[4 * x + 2]) for x in words]
-    report.checked = 2 * len(words) ** 2
-    for g in words:
-        # gamma empty or starting with 0
-        keeps_sign_on_even = g % 2 == 0
-        scaled, shifted = p * numers[g], p * numers[2 * g]
-        for xi, even, even_shifted, mixed, mixed_shifted in ranges:
-            sign, reduced = reduce_numerator(scaled - even, base)
-            if reduce_numerator(shifted - even_shifted, base) != (
-                    sign if keeps_sign_on_even else -sign, reduced):
-                report.add("even-range sign relation fails at "
-                           + _at("gamma", g, "xi", xi))
-            sign, reduced = reduce_numerator(scaled - mixed, base)
-            if reduce_numerator(shifted - mixed_shifted, base) != (
-                    -sign if keeps_sign_on_even else sign, reduced):
-                report.add("mixed-range sign relation fails at "
-                           + _at("gamma", g, "xi", xi))
-    return report
+    p, numers = params.p, point_numerators(params, max_digits + 2)
+    words = range(1 << max_digits)
+    rows = []
+    for x in words:
+        rows += [(x, numers[4 * x], numers[2 * x], 1,
+                  "even-range sign relation fails at gamma {col!r}, xi {row!r}"),
+                 (x, numers[4 * x + 2], numers[2 * x + 1], -1,
+                  "mixed-range sign relation fails at gamma {col!r}, xi {row!r}")]
+    # gamma empty or starting with 0 keeps its sign on the even range
+    return _check_pairs(report, [
+        (g, p * numers[2 * g], p * numers[g], 1 if g % 2 == 0 else -1, rows)
+        for g in words], params.base)
 
 
 def verify_multiplication_identity(max_digits: int) -> CheckReport:
@@ -372,24 +367,17 @@ def verify_multiplication_identity(max_digits: int) -> CheckReport:
     transform values exactly, since mu_hat(t) = sign * mu_hat(reduced).
     """
     params = BernoulliParams(2, 5)
-    report = CheckReport(f"multiplication(n=2, p=5, digits<={max_digits})")
-    if max_digits < 1:
-        raise ValueError("max_digits must be >= 1")
-    check_budget(4**max_digits, "word pairs", max_digits)
-    base = params.base
+    report = _pair_report("multiplication", params, max_digits, invalid=(
+        "max_digits must be >= 1" if max_digits < 1 else None))
     numers = point_numerators(params, max_digits)
-    # the stratum-0 word 2m + 1 is a leading 1 over the inner word m
-    stratum0 = [(2 * m + 1, numers[m], numers[2 * m + 1])
-                for m in range(len(numers) >> 1)]
-    report.checked = len(stratum0) ** 2
-    for col, gamma, col_numer in stratum0:
-        # 4 * (1 + 5 gamma) and 4 * (5 col)
-        shifted, scaled = 4 + 5 * gamma, 5 * col_numer
-        for row, xi, row_numer in stratum0:
-            if (reduce_numerator(scaled - row_numer, base)
-                    != reduce_numerator(shifted - xi, base)):
-                report.add("reductions differ at " + _at("row", row, "col", col))
-    return report
+    # the stratum-0 word 2m + 1 is a leading 1 over the inner word m; the
+    # entry is 4 * (5 col) - 4 * row, the identity 4 * (1 + 5 gamma) - 4 * xi
+    inner = range(len(numers) >> 1)
+    rows = [(2 * m + 1, numers[2 * m + 1], numers[m], 1,
+             "reductions differ at row {row!r}, col {col!r}") for m in inner]
+    return _check_pairs(report, [
+        (2 * m + 1, 5 * numers[2 * m + 1], 4 + 5 * numers[m], 1, rows)
+        for m in inner], params.base)
 
 
 # ---------------------------------------------------------------------------

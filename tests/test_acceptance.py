@@ -20,7 +20,6 @@ from bernspec.exact import (
 )
 from bernspec.matrixlab import (
     analyze_w0_sparsity,
-    scale_minus,
     verify_block_diagonal,
     verify_block_equality,
     verify_commutation_even,
@@ -28,6 +27,7 @@ from bernspec.matrixlab import (
     verify_odd_twisted_relations,
 )
 from bernspec.operators import parseval_partial, verify_cuntz_relations
+from bernspec.spectrum import scale_minus
 
 SQRT_HALF = math.sqrt(2.0) / 2.0
 

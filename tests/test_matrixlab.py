@@ -19,7 +19,6 @@ from bernspec.exact import (
 from bernspec.matrixlab import (
     TruncatedMatrix,
     analyze_w0_sparsity,
-    scale_minus,
     verify_block_diagonal,
     verify_block_equality,
     verify_commutation_even,
@@ -31,6 +30,7 @@ from bernspec.spectrum import (
     TILDE_ONE_POINT,
     enumerate_spectrum,
     point_numerators,
+    scale_minus,
     stratum_index,
     tilde_stratum_index,
     word_to_bits,
