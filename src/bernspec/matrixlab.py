@@ -80,7 +80,7 @@ class TruncatedMatrix:
         entry takes, one per signed key sign * |reduced|.
         """
         p = params.require_p()
-        check_budget(4**max_digits, "matrix entries", max_digits)
+        check_budget(max_digits, "matrix entries", 4)
         import numpy as np
 
         indices = word_indices(max_digits, order)
@@ -223,7 +223,7 @@ def _pair_report(name: str, params: BernoulliParams, max_digits: int,
                          f"digits<={max_digits}{label})")
     if invalid:
         raise ValueError(invalid)
-    check_budget(4**max_digits, "word pairs", max_digits)
+    check_budget(max_digits, "word pairs", 4)
     return report
 
 
@@ -287,7 +287,8 @@ def verify_block_equality(
                           "k_max must be >= 1" if k_max < 1 else None)
     p, numers = params.p, point_numerators(params, max_digits)
     columns = []
-    for k in range(1, k_max + 1):
+    # a shift k >= max_digits leaves no stratum-0 word in the truncation
+    for k in range(1, min(k_max, max_digits - 1) + 1):
         failure = (f"stratum-{k} entry differs from stratum-0 at "
                    "row {row!r}, col {col!r}")
         # the stratum-0 words m (odd) whose shift m << k is in the truncation
@@ -457,7 +458,7 @@ def analyze_w0_sparsity(
         f"w0-sparsity(digits<={max_digits}"
         + (f", classes<={tilde_max}" if tilde_max is not None else "")
         + ")")
-    check_budget(4**max_digits, "word pairs", max_digits)
+    check_budget(max_digits, "word pairs", 4)
     base = params.base
     classes: dict[int | str, list[tuple[int, int]]] = {}
     for m, numer in enumerate(point_numerators(params, max_digits)):

@@ -19,12 +19,22 @@ TILDE_ONE_POINT = "one-point"
 TILDE_OTHER = "other"
 
 
-def check_budget(count: int, items: str, max_digits: int) -> None:
-    """Raise ValueError, before anything is allocated, when count > ITEM_BUDGET."""
-    if count > ITEM_BUDGET:
-        raise ValueError(
-            f"max_digits {max_digits} needs {count} {items}, over the size "
-            f"budget of {ITEM_BUDGET}")
+def check_budget(max_digits: int, items: str, per_digit: int = 2) -> None:
+    """Raise ValueError, before anything is allocated, when the
+    per_digit^max_digits items of a depth are over ITEM_BUDGET.
+
+    Past 64 digits every count is over the budget, so it is named as the
+    power and never built.
+    """
+    if max_digits > 64:
+        count = f"{per_digit}^{max_digits}"
+    elif per_digit**max_digits > ITEM_BUDGET:
+        count = str(per_digit**max_digits)
+    else:
+        return
+    raise ValueError(
+        f"max_digits {max_digits} needs {count} {items}, over the size "
+        f"budget of {ITEM_BUDGET}")
 
 
 def check_word(word: Word) -> None:
@@ -82,7 +92,7 @@ def word_indices(max_digits: int, order: str = "value") -> list[int]:
         raise ValueError("max_digits must be >= 0")
     if order not in ("value", "strata"):
         raise ValueError(f"unknown order {order!r}")
-    check_budget(2**max_digits, "words", max_digits)
+    check_budget(max_digits, "words")
     indices = list(range(1 << max_digits))
     if order == "strata":
         indices.sort(key=index_stratum)  # stable, and -1 for m = 0
@@ -128,7 +138,7 @@ def point_numerators(params: BernoulliParams, max_digits: int) -> list[int]:
     """
     if max_digits < 0:
         raise ValueError("max_digits must be >= 0")
-    check_budget(2**max_digits, "words", max_digits)
+    check_budget(max_digits, "words")
     numerators = [0]
     power = params.base
     for _ in range(max_digits):

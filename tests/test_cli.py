@@ -186,6 +186,12 @@ class TestMatrix:
         (["spectrum", "--max-digits", "64"], "18446744073709551616 words"),
         (["matrix", "--p", "5", "--max-digits", "12"],
          "16777216 matrix entries"),
+        # past 64 digits the count is named as a power, which is never built
+        (["spectrum", "--max-digits", "1000000000"], "2^1000000000 words"),
+        (["matrix", "--p", "5", "--max-digits", "1000000000"],
+         "4^1000000000 matrix entries"),
+        (["parseval", "--t", "1/2", "--max-digits", "1000000000"],
+         "2^1000000000 words"),
     ])
     def test_oversized_request_rejected(self, argv, count, monkeypatch, capsys):
         # rejected on the projected count, before the matrix lists its words
@@ -222,6 +228,11 @@ class TestVerify:
             "multiplication", "w0-sparsity")],
         # on its 2^d words, not on the level below them that it also reads
         pytest.param("cuntz", 23, "8388608 words", id="cuntz"),
+        # past 64 digits the count is named as a power, which is never built
+        pytest.param("cuntz", 10**9, "2^1000000000 words", id="cuntz-huge"),
+        *[pytest.param(suite, 10**9, "4^1000000000 word pairs", id=f"{suite}-huge")
+          for suite in ("block-diagonal", "block-equality", "commute-even",
+                        "commute-odd", "multiplication", "w0-sparsity")],
     ])
     def test_oversized_request_rejected(self, suite, digits, count, monkeypatch,
                                         capsys):
@@ -315,6 +326,17 @@ class TestVerify:
             "commute-odd(n=3, p=5, digits<=4): PASS (512 checks)",
             "multiplication(n=2, p=5, digits<=6): PASS (1024 checks)",
             "w0-sparsity(digits<=7, classes<=4): PASS (3979 checks)",
+        ]
+
+    def test_shifts_past_the_depth_make_no_checks(self, capsys):
+        # a shift k >= max_digits leaves no stratum-0 word in the
+        # truncation, so --k-max 10^12 makes the checks of --k-max 6
+        for k_max in (6, 10**12):
+            assert main(["verify", "block-equality", "--k-max", str(k_max)]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "block-equality(n=2, p=5, digits<=6, k<=6): PASS (341 checks)",
+            "block-equality(n=2, p=5, digits<=6, k<=1000000000000): "
+            "PASS (341 checks)",
         ]
 
     def test_unknown_suite_rejected(self, capsys):

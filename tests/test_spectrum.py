@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -147,7 +149,8 @@ class TestEnumerate:
 
     def test_size_budget(self):
         # decided on the projected count, before any word is listed
-        check_budget(ITEM_BUDGET, "words", 22)
+        check_budget(22, "words")
+        check_budget(11, "word pairs", 4)
         for d in (23, 64):
             with pytest.raises(ValueError, match=(
                     f"max_digits {d} needs {2**d} words, "
@@ -155,6 +158,15 @@ class TestEnumerate:
                 enumerate_spectrum(N2, d)
             with pytest.raises(ValueError, match="over the size budget"):
                 point_numerators(N2, d)
+        # past 64 digits the count is named as a power, which is never built
+        for d in (65, 10**9):
+            for per_digit, items in ((2, "words"), (4, "word pairs")):
+                with pytest.raises(ValueError, match=re.escape(
+                        f"max_digits {d} needs {per_digit}^{d} {items}, "
+                        f"over the size budget of {ITEM_BUDGET}")):
+                    check_budget(d, items, per_digit)
+        # a negative depth is left to the depth check
+        check_budget(-1, "words")
 
     @pytest.mark.parametrize("params", [N2, N3, N4])
     def test_self_similarity(self, params):
