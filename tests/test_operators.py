@@ -17,6 +17,9 @@ from bernspec import operators, spectrum
 from bernspec.exact import (
     BernoulliParams,
     QuarterInt,
+    _cospi_ratio,
+    _tail,
+    _times,
     in_zero_set,
     mu_hat,
     mu_hat_differences,
@@ -163,9 +166,10 @@ def tree_frequencies(n: int, scale: int, max_digits: int):
         # scaled spectrum points: every difference is an exact zero or 0
         st.integers(0, len(points) - 1).map(
             lambda m: QuarterInt(scale * points[m])),
-        # decimals, a huge float, and numerators past 2^62
+        # decimals, a huge float, a tiny one, and numerators past 2^62
         st.floats(-2000.0, 2000.0, allow_nan=False),
         st.just(1.2345e20),
+        st.just(1e-300),
         st.builds(lambda a, s: QuarterInt(s * a), st.integers(2**62, 2**70),
                   st.sampled_from((-1, 1))),
     )
@@ -175,6 +179,39 @@ def exact_frequency(t: QuarterInt | float) -> Fraction:
     if isinstance(t, QuarterInt):
         return Fraction(t.numerator, 4)
     return Fraction(t)
+
+
+def composed_pair(t, params, points, scale, m):
+    """Word m's pair from the scalar helpers, one factor at a time.
+
+    Over den = lcm(denominator of t, 4), the difference t - scale * gamma is
+    diff / den with diff = numer - scale (den / 4) points[m].  Node k of a
+    word of length L, k = 1..L, is the cosine at 2|diff_k| / (den (2n)^k)
+    mod 2, diff_k the difference at m mod 2^k; then the tail _tail(diff,
+    den (2n)^L), the cap 1 + |prod| and the sign of digits b_1..b_(L-1).
+    """
+    x = exact_frequency(t)
+    den = math.lcm(x.denominator, 4)
+    numer, step = x.numerator * (den // x.denominator), scale * (den // 4)
+    base = params.base
+    prod, err = 1.0, 0.0
+    for k in range(1, m.bit_length() + 1):
+        den *= base
+        diff = numer - step * points[m % 2**k]
+        factor = _cospi_ratio(2 * abs(diff) % (2 * den), den)
+        if factor is None:
+            return None
+        prod, err = _times(prod, err, *factor)
+    diff = numer - step * points[m]
+    if diff:
+        tail = _tail(diff, den, base)
+        if tail is None:
+            return None
+        prod, err = _times(prod, err, *tail)
+    err = min(err, 1.0 + abs(prod))
+    if scale * params.n % 2 and (m >> 1).bit_count() % 2:
+        return 0.0 - prod, err
+    return prod + 0.0, err
 
 
 class TestDigitTree:
@@ -194,6 +231,9 @@ class TestDigitTree:
             t, params, points[:2**depth], scale, tol))
         # a word's value does not depend on the truncation depth
         assert values == deeper[:2**depth]
+        # bit for bit the composition of the scalar helpers
+        assert values == [composed_pair(t, params, points, scale, m)
+                          for m in range(2**depth)]
         for m, c in enumerate(values):
             ref = mu_hat(exact_frequency(t) - Fraction(scale * points[m], 4),
                          params, tol)
