@@ -18,9 +18,11 @@ certified series for the sum of -ln cos.  Its bound is at the rounding
 level whatever tol is; mu_hat_product is the fixed-length truncation, an
 independent reference.  mu_hat_differences takes the transform at
 t - scale * gamma over a whole spectrum truncation along the digit tree of
-the Cuntz isometries: one cosine per tree node, and one walk per point for
-the factors below it.  It yields plain (value, error_bound) pairs, None for
-an exact zero, and writes the bound arithmetic of its loops out in place.
+the Cuntz isometries, one pass per tree level: one cosine per tree node,
+and for each word one difference that serves its own node and the factors
+below it.  It yields plain (value, error_bound) pairs, None for an exact
+zero, and writes _tail and the bound arithmetic out in its word loop, with
+the same bits.
 mu_hat_many is mu_hat over an array of quarter-integers as codes into a
 table of values: one reduction, one batched walk over the distinct
 |reduced|, and the same bits as the scalar mu_hat, which stays the
@@ -743,7 +745,11 @@ def mu_hat_differences(
     (k, m mod 2^k), k = 1..L, times the sign of its digits b_1..b_(L-1) and
     the tail mu_hat((t - scale gamma_m) / (2n)^L), which holds the factors
     k > L.  The tail sits at the word's own length, so a value does not
-    depend on d.  Values come out in counting order, one tree level at a
+    depend on d.  Each level is one pass: a word's difference
+    t - scale gamma_m, taken once, gives both its own node (L, m) and its
+    tail, _tail written out with the same float operations; the lower half
+    of a level serves only longer words, and the last level keeps no
+    nodes.  Values come out in counting order, one tree level at a
     time, as pairs (value, error_bound): the signed value, 0.0 when it is
     zero without being an exact zero, and its certified bound.  A zero
     factor, at a node or in a tail, gives None, an exact zero.  The bound
@@ -762,29 +768,34 @@ def mu_hat_differences(
     step = scale * (denom // 4)
     base = params.base
     odd = scale * params.n % 2 == 1
-    # the hot loops below are _times and _cospi_ratio written out, with the
-    # same float operations in the same order
-    tail_of, cospi = _tail, _cospi_reduced
-    half_eps, factor_err, underflow = 0.5 * _EPS, _RATIO_FACTOR_ERR, _UNDERFLOW
+    # the hot loops below are _cospi_ratio, _times and _tail written out,
+    # with the same float operations in the same order
+    cos, exp, pi, cospi = math.cos, math.exp, math.pi, _cospi_reduced
+    half_eps, underflow, factor_err = 0.5 * _EPS, _UNDERFLOW, _RATIO_FACTOR_ERR
+    a1, a2, a3, a4, a5, a6 = _series(base)
 
     # level holds the nodes (k, r) of one tree level, (prod, err) or None
-    # for an exact zero; the words of length k are 2^(k-1) <= m < 2^k
+    # for an exact zero; the words of length k are 2^(k-1) <= m < 2^k.  The
+    # zero word, of length 0, has no node factor: modulo 1 its num is 0,
+    # the factor 1.
     level: list[tuple[float, float] | None] = [(1.0, 0.0)]
-    words = range(1)
-    den = denom
+    words, mask, den, den2, zeros = range(1), 0, denom, 1, ()
     for length in range(depth + 1):
+        parents = level
         if length:
             # den is denom (2n)^k
             den *= base
-            parents, half = level, len(level)
-            words = range(half, 2 * half)
+            half = len(parents)
+            words, mask, den2 = range(half, 2 * half), half - 1, 2 * den
             zeros = (den // 2, 3 * den // 2)
+        level = []
+        keep = level.append if length < depth else None
+        if keep and length:
             # the lower half of a level only serves longer words
-            level = [None] * half if length == depth else []
-            for r in range(len(level), 2 * half):
-                node = parents[r & (half - 1)]
+            for r in range(half):
+                node = parents[r]
                 if node is not None:
-                    num = 2 * abs(numer - step * points[r]) % (2 * den)
+                    num = 2 * abs(numer - step * points[r]) % den2
                     if num in zeros:
                         node = None
                     elif num == den:
@@ -798,22 +809,81 @@ def mu_hat_differences(
                                 half_eps * abs(new_prod) + abs(prod) * factor_err
                                 + err * (growth if growth < 1.0 else 1.0)
                                 + underflow)
-                level.append(node)
+                keep(node)
+        # a word's own node (length, m) and its tail, from one difference
+        tail_den = den * base
         for m in words:
-            node = level[m]
+            node = parents[m & mask]
+            if node is not None:
+                diff = numer - step * points[m]
+                twice = 2 * abs(diff)
+                num = twice % den2
+                if num in zeros:
+                    node = None
+                elif num == den:
+                    node = (-node[0], node[1])
+                elif num:
+                    prod, err = node
+                    value = cospi(num / den)
+                    new_prod = prod * value
+                    growth = abs(value) + factor_err
+                    node = (new_prod,
+                            half_eps * abs(new_prod) + abs(prod) * factor_err
+                            + err * (growth if growth < 1.0 else 1.0)
+                            + underflow)
+            if keep:
+                keep(node)
             if node is None:
                 yield None
                 continue
             prod, err = node
             # the whole tail below the word's nodes, every zero factor
             # decided; at t - scale gamma_m = 0 it is exactly 1
-            diff = numer - step * points[m]
             if diff:
-                tail = tail_of(diff, den, base)
-                if tail is None:
+                # _tail: the factors with s_k >= 1 on integers, then the
+                # cosines while s_k > 1/64, then exp(-S)
+                tail_prod, tail_err, d = 1.0, 0.0, tail_den
+                zero = False
+                while twice >= d or 2 * twice == d:
+                    factor = _cospi_ratio(twice % (2 * d), d)
+                    if factor is None:
+                        zero = True
+                        break
+                    tail_prod, tail_err = _times(tail_prod, tail_err, *factor)
+                    d *= base
+                if zero:
                     yield None
                     continue
-                value, value_err = tail
+                limit = _SERIES_FROM * twice
+                while d < limit:
+                    y = twice / d
+                    value = cos(pi * y) if y <= 0.25 else cospi(y)
+                    value_err = _HALF_ULP_PI * y + _COSPI_SLOP
+                    new_prod = tail_prod * value
+                    growth = abs(value) + value_err
+                    tail_err = (half_eps * abs(new_prod)
+                                + abs(tail_prod) * value_err
+                                + tail_err * (growth if growth < 1.0 else 1.0)
+                                + underflow)
+                    tail_prod = new_prod
+                    d *= base
+                # _series_sum at y = s_K, with the coefficients hoisted
+                z2 = pi * (twice / d)
+                z2 = z2 * z2
+                s = z2 * (a1 + z2 * (a2 + z2 * (a3 + z2 * (a4 + z2 * (
+                    a5 + z2 * a6)))))
+                z4 = z2 * z2
+                value = exp(-s)
+                value_err = (_SERIES_SLOP * s + _SERIES_REMAINDER
+                             * (z4 * z4 * z4 * z2) + _EPS * value)
+                new_prod = tail_prod * value
+                growth = abs(value) + value_err
+                tail_err = (half_eps * abs(new_prod) + abs(tail_prod) * value_err
+                            + tail_err * (growth if growth < 1.0 else 1.0)
+                            + underflow)
+                cap = 1.0 + abs(new_prod)
+                value, value_err = new_prod, (cap if cap < tail_err else tail_err)
+                # the tail times the word's nodes
                 new_prod = prod * value
                 growth = abs(value) + value_err
                 err = (half_eps * abs(new_prod) + abs(prod) * value_err

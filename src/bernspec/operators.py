@@ -135,7 +135,8 @@ class CoeffVector:
     residual_bound: float
 
     def norm_sq(self) -> float:
-        return sum(c * c for c in self.coefficients.values())
+        # fsum: exactly rounded, so the norm is the same on every Python
+        return math.fsum(c * c for c in self.coefficients.values())
 
     def get(self, word: Word) -> tuple[float, float]:
         """(coefficient, error_bound), zero for words outside the support."""
@@ -179,7 +180,7 @@ def expand_exponential(
     # fsum: exactly rounded, so the bound is the same on every Python
     accounted = math.fsum(c * c for c in coefficients.values())
     padding = 2.0 * math.fsum(
-        abs(coefficients[w]) * error_bounds[w] for w in coefficients)
+        abs(c) * e for c, e in zip(coefficients.values(), error_bounds.values()))
     residual = max(0.0, 1.0 - accounted + padding)
     return CoeffVector(coefficients, error_bounds, residual)
 

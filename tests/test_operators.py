@@ -322,14 +322,16 @@ class TestExpandExponential:
         assert vec.norm_sq() <= 1.0 + vec.residual_bound + 1e-12
 
     def test_residual_bound_sums_exactly(self):
-        # both sums rounded once, as Fractions do it, so the bound is the
-        # same on every Python (the builtin sum compensates from 3.12 on)
+        # both sums rounded once, as Fractions do it, so the bound and the
+        # norm are the same on every Python (the builtin sum compensates
+        # from 3.12 on)
         vec = expand_exponential(-734.123456, N2, 10)
         accounted = sum(Fraction(c * c) for c in vec.coefficients.values())
         padding = sum(Fraction(abs(c) * vec.error_bounds[w])
                       for w, c in vec.coefficients.items())
         assert vec.residual_bound == max(
             0.0, 1.0 - float(accounted) + 2.0 * float(padding))
+        assert vec.norm_sq() == float(accounted)
 
     def test_walk_does_not_import_numpy(self):
         # a fresh interpreter: the expansion is pure Python
