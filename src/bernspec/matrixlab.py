@@ -332,11 +332,15 @@ def verify_odd_twisted_relations(
     roles swap when it starts with 1.  Each claimed sign relation is
     checked as an exact (sign, reduced argument) identity.
 
-    The even-range flip for gamma starting with 1 cannot be observed: there
-    4 gamma = 2n (1 + 4 gamma') and every point numerator is a multiple of
-    2n, so 4 (p gamma - xi_even) = 2n (p + 2n k) with p + 2n k odd.  One
-    reduction step leaves an odd numerator, so both sides of the relation
-    lie in the zero set and reduce to sign 0.
+    No sign flip can be observed: every pair whose claimed sign flips lies
+    in the zero set on both sides, and only the sign-keeping pairs meet
+    nonzero values.  Every point numerator is a multiple of 2n.  For gamma
+    starting with 1, 4 gamma = 2n (1 + 4 gamma'), so
+    4 (p gamma - xi_even) = 2n (p + 2n k) with p + 2n k odd.  For gamma
+    empty or starting with 0, 4 gamma is a multiple of (2n)^2 and
+    4 xi_mixed = 2n (1 + 4 xi), so 4 (p gamma - xi_mixed) = 2n (2n k - 1).
+    Either way one reduction step leaves an odd numerator, so that side
+    reduces to sign 0, and so does the shifted side, 2n times it.
     """
     if params.n % 2 == 0:
         raise ValueError("twisted relations need odd n")

@@ -7,7 +7,7 @@ from itertools import product
 
 import pytest
 
-from bernspec import exact, matrixlab
+from bernspec import cli, exact, matrixlab
 from bernspec.exact import (
     BernoulliParams,
     QuarterInt,
@@ -349,6 +349,33 @@ class TestOddTwistedRelations:
                 assert shifted == base * plain
                 assert reduce_numerator(plain, base) == (0, plain // base)
                 assert reduce_numerator(shifted, base) == (0, plain // base)
+
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_only_sign_keeping_pairs_meet_nonzero_values(self, p):
+        # at the suite's default depth, over the pairs the suite checks:
+        # every pair whose claimed sign flips (g odd on the even range, g
+        # even on the mixed range) reduces to sign 0 on both sides, so no
+        # flip can be observed; only the sign-keeping pairs meet nonzero
+        # values
+        suite = cli.VERIFY_SUITES["commute-odd"]
+        n, digits = suite.defaults["n"], suite.defaults["max_digits"]
+        assert (n, digits) == (3, 4)
+        params = BernoulliParams(n, p)
+        base, numers = params.base, point_numerators(params, digits + 2)
+        kept = Counter()
+        for g in range(1 << digits):
+            for x in range(1 << digits):
+                for mixed in (0, 1):
+                    plain = reduce_numerator(
+                        p * numers[g] - numers[2 * x + mixed], base)
+                    shifted = reduce_numerator(
+                        p * numers[2 * g] - numers[4 * x + 2 * mixed], base)
+                    if g % 2 != mixed:
+                        assert plain[0] == shifted[0] == 0, (g, x, mixed)
+                    else:
+                        kept[plain[0] != 0] += 1
+        assert kept == {True: 171, False: 85}
+        assert verify_odd_twisted_relations(params, digits).checked == 2 * 256
 
 
 class TestMultiplicationIdentity:
