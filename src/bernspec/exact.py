@@ -774,10 +774,11 @@ def mu_hat_differences(
     half_eps, underflow, factor_err = 0.5 * _EPS, _UNDERFLOW, _RATIO_FACTOR_ERR
     a1, a2, a3, a4, a5, a6 = _series(base)
 
-    # level holds the nodes (k, r) of one tree level, (prod, err) or None
-    # for an exact zero; the words of length k are 2^(k-1) <= m < 2^k.  The
-    # zero word, of length 0, has no node factor: modulo 1 its num is 0,
-    # the factor 1.
+    # a node (k, r) is (prod, err), or None for an exact zero; the pass over
+    # level k reads the nodes of level k - 1 (parents) and collects its own
+    # (level) only when a longer word needs them.  The words of length k
+    # are 2^(k-1) <= m < 2^k.  The zero word, of length 0, has no node
+    # factor: modulo 1 its num is 0, the factor 1.
     level: list[tuple[float, float] | None] = [(1.0, 0.0)]
     words, mask, den, den2, zeros = range(1), 0, denom, 1, ()
     for length in range(depth + 1):
