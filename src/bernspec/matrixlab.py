@@ -32,7 +32,6 @@ from bernspec.spectrum import (
     index_word,
     point_numerators,
     word_indices,
-    word_to_bits,
 )
 
 if TYPE_CHECKING:
@@ -54,7 +53,7 @@ class TruncatedMatrix:
     codes: np.ndarray  # int32, one code per entry
     values: list[MuHatValue]  # the distinct entries, each taken by some entry
 
-    @property
+    @property  # kept because bench/tracing.py reads it; nothing in bernspec does
     def words(self) -> list[Word]:
         return [index_word(m) for m in self.indices]
 
@@ -399,15 +398,10 @@ class BlockStatus:
     rows: int
     cols: int
     nonzero_count: int
-    witness: tuple[Word, Word] | None
-    exact_one: tuple[Word, Word] | None
+    witness: tuple[str, str] | None  # (row, col) bits of the first nonzero entry
+    exact_one: tuple[str, str] | None  # the same for the first exactly-1 entry
 
     def to_json_obj(self) -> dict:
-        def encode(pair):
-            if pair is None:
-                return None
-            return [word_to_bits(pair[0]), word_to_bits(pair[1])]
-
         return {
             "row_class": str(self.row_class),
             "col_class": str(self.col_class),
@@ -415,8 +409,8 @@ class BlockStatus:
             "rows": self.rows,
             "cols": self.cols,
             "nonzero_count": self.nonzero_count,
-            "witness": encode(self.witness),
-            "exact_one": encode(self.exact_one),
+            "witness": None if self.witness is None else list(self.witness),
+            "exact_one": None if self.exact_one is None else list(self.exact_one),
         }
 
 
@@ -468,7 +462,7 @@ def analyze_w0_sparsity(
     for m, numer in enumerate(point_numerators(params, max_digits)):
         if m % 2 == 0:  # not in stratum 0
             continue
-        # the gap class (tilde_stratum_index) is the stratum of word m >> 1
+        # the gap class (zeros between the first two 1-bits): word m >> 1's stratum
         label = TILDE_ONE_POINT if m == 1 else index_stratum(m >> 1)
         if tilde_max is not None and isinstance(label, int) and label > tilde_max:
             continue
@@ -492,15 +486,14 @@ def analyze_w0_sparsity(
                         continue
                     nonzero += 1
                     if witness is None:
-                        witness = (index_word(row), index_word(col))
+                        witness = (index_bits(row), index_bits(col))
                     if exact_one is None and argument == 0:
-                        exact_one = (index_word(row), index_word(col))
+                        exact_one = (index_bits(row), index_bits(col))
             if expected_zero and nonzero:
                 check.add(
                     f"expected-zero block ({row_class}, {col_class}) has "
                     f"{nonzero} nonzero entries, first at "
-                    f"row {word_to_bits(witness[0])!r}, "
-                    f"col {word_to_bits(witness[1])!r}")
+                    f"row {witness[0]!r}, col {witness[1]!r}")
             blocks.append(BlockStatus(
                 row_class, col_class, expected_zero, len(rows), len(cols),
                 nonzero, witness, exact_one))

@@ -25,14 +25,7 @@ from bernspec.exact import (
     mu_hat_differences,
 )
 from bernspec.report import CheckReport
-from bernspec.spectrum import (
-    Word,
-    check_index,
-    enumerate_spectrum,
-    index_bits,
-    point_numerators,
-    word_to_bits,
-)
+from bernspec.spectrum import check_index, index_bits, point_numerators
 
 _EPS = sys.float_info.epsilon
 
@@ -125,21 +118,25 @@ def verify_cuntz_relations(params: BernoulliParams, max_digits: int) -> CheckRep
 class CoeffVector:
     """Expansion of a vector over basis exponentials of the spectrum.
 
-    Exact-zero coefficients are never stored.  residual_bound bounds the
-    squared mass a unit vector can carry outside the stored support, padded
-    for the coefficient error bounds.
+    Both dicts are keyed by the bit string index_bits(m) of each word m,
+    in index order.  Exact-zero coefficients are never stored.
+    residual_bound bounds the squared mass a unit vector can carry outside
+    the stored support, padded for the coefficient error bounds.
     """
 
-    coefficients: dict[Word, float]
-    error_bounds: dict[Word, float]
+    coefficients: dict[str, float]
+    error_bounds: dict[str, float]
     residual_bound: float
 
     def norm_sq(self) -> float:
         # fsum: exactly rounded, so the norm is the same on every Python
         return math.fsum(c * c for c in self.coefficients.values())
 
-    def get(self, word: Word) -> tuple[float, float]:
-        """(coefficient, error_bound), zero for words outside the support."""
+    def get(self, word: str) -> tuple[float, float]:
+        """(coefficient, error_bound) at a bit-string word, zero outside
+        the support; ValueError for anything but a canonical bit string."""
+        if not isinstance(word, str) or word.strip("01") or word.endswith("0"):
+            raise ValueError(f"not a canonical bit-string word: {word!r}")
         if word in self.coefficients:
             return self.coefficients[word], self.error_bounds[word]
         return 0.0, 0.0
@@ -148,7 +145,7 @@ class CoeffVector:
         return {
             "entries": [
                 {
-                    "word": word_to_bits(w),
+                    "word": w,
                     "coefficient": self.coefficients[w],
                     "error_bound": self.error_bounds[w],
                 }
@@ -168,14 +165,15 @@ def expand_exponential(
 
     Coefficient at gamma is the transform evaluated at the exact difference
     t - gamma, so every coefficient is certified exact-or-bounded; a
-    spectrum point t yields exactly its own delta vector.
+    spectrum point t yields exactly its own delta vector.  The walk yields
+    word m's coefficient m-th, and its key is index_bits(m).
     """
-    coefficients: dict[Word, float] = {}
-    error_bounds: dict[Word, float] = {}
-    for w, c in zip(enumerate_spectrum(params, max_digits),
-                    mu_hat_differences(
-                        t, params, point_numerators(params, max_digits), 1, tol)):
+    coefficients: dict[str, float] = {}
+    error_bounds: dict[str, float] = {}
+    for m, c in enumerate(mu_hat_differences(
+            t, params, point_numerators(params, max_digits), 1, tol)):
         if c is not None:
+            w = index_bits(m)
             coefficients[w], error_bounds[w] = c
     # fsum: exactly rounded, so the bound is the same on every Python
     accounted = math.fsum(c * c for c in coefficients.values())
@@ -223,6 +221,7 @@ def parseval_table(
     return rows
 
 
+# kept because bench/tracing.py wraps it by name; nothing in bernspec calls it
 def parseval_partial(
     t: QuarterInt | float,
     params: BernoulliParams,

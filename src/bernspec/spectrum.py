@@ -1,22 +1,23 @@
 """The canonical spectrum, its digit words, and its strata.
 
 Spectrum points are the finite sums  sum_i b_i * (n/2) * (2n)^i  with bits
-b_i in {0, 1}.  A point is held as its digit word (b_0, ..., b_m), stored
-low digit first and canonical: empty, or ending in a 1.  The spectrum
-splits into the zero point and the strata indexed by the number of leading
-zero bits; for n = 2 the stratum of index 0 splits further by the gap
-between the first two 1-bits.
+b_i in {0, 1}.  A point's digit word is held as its index m, the integer
+whose binary digits, low digit first, are b_0, b_1, ...: the zero point is
+m = 0, and prepending a digit b is m -> 2m + b.  A result object shows a
+word as its bit string index_bits(m), canonical like every digit word:
+empty, or ending in a 1.  The spectrum splits into the zero point and the
+strata indexed by the number of leading zero bits; for n = 2 the stratum of
+index 0 splits further by the gap between the first two 1-bits.
 """
 
 from __future__ import annotations
 
 from bernspec.exact import ITEM_BUDGET, BernoulliParams, QuarterInt
 
-Word = tuple[int, ...]
+Word = tuple[int, ...]  # digit tuple of the names bench/tracing.py still wraps
 
-# classification labels for the finer split of stratum 0 (defined for n = 2)
+# the label of the point 1 in the finer split of stratum 0 (defined for n = 2)
 TILDE_ONE_POINT = "one-point"
-TILDE_OTHER = "other"
 
 
 def check_budget(max_digits: int, items: str, per_digit: int = 2) -> None:
@@ -37,6 +38,7 @@ def check_budget(max_digits: int, items: str, per_digit: int = 2) -> None:
         f"budget of {ITEM_BUDGET}")
 
 
+# kept for word_value, which bench/tracing.py wraps by name
 def check_word(word: Word) -> None:
     """Raise ValueError unless the word is canonical: 0/1 bits, empty or ending in 1."""
     if any(bit not in (0, 1) for bit in word) or (word and word[-1] != 1):
@@ -51,6 +53,7 @@ def check_index(m: int) -> None:
         raise ValueError(f"not a word index: {m!r} is negative")
 
 
+# kept because bench/tracing.py wraps it by name; nothing in bernspec calls it
 def word_value(word: Word, params: BernoulliParams) -> QuarterInt:
     """The spectrum point of a digit word: sum_i b_i (n/2) (2n)^i."""
     check_word(word)
@@ -62,21 +65,6 @@ def word_value(word: Word, params: BernoulliParams) -> QuarterInt:
             numer += power
         power *= base
     return QuarterInt(numer)
-
-
-def word_to_bits(word: Word) -> str:
-    """Serialize low digit first; the zero word is the empty string."""
-    check_word(word)
-    return "".join(str(bit) for bit in word)
-
-
-def parse_word(text: str) -> Word:
-    body = text.strip()
-    if any(ch not in "01" for ch in body):
-        raise ValueError(f"digit words use characters 0/1 only: {text!r}")
-    word = tuple(int(ch) for ch in body)
-    check_word(word)
-    return word
 
 
 def word_indices(max_digits: int, order: str = "value") -> list[int]:
@@ -99,6 +87,7 @@ def word_indices(max_digits: int, order: str = "value") -> list[int]:
     return indices
 
 
+# kept because bench/tracing.py wraps it by name; nothing in bernspec calls it
 def enumerate_spectrum(params: BernoulliParams, max_digits: int,
                        order: str = "value") -> list[Word]:
     """All spectrum words of length <= max_digits: the tuples of word_indices.
@@ -116,22 +105,25 @@ def enumerate_spectrum(params: BernoulliParams, max_digits: int,
 
 
 def index_stratum(m: int) -> int:
-    """stratum_index of word m, its trailing-zero count; -1 for the zero word."""
+    """The stratum of word m: its leading zero digits, the trailing zeros of
+    m; -1 for the zero word."""
     return (m & -m).bit_length() - 1
 
 
 def index_bits(m: int) -> str:
-    """word_to_bits of word m: the binary digits of m, low digit first."""
+    """The bit string of word m: its binary digits, low digit first; the
+    zero word is the empty string."""
     return f"{m:b}"[::-1] if m else ""
 
 
+# kept for TruncatedMatrix.words, which bench/tracing.py reads
 def index_word(m: int) -> Word:
     """The digit tuple of word m."""
     return tuple((m >> i) & 1 for i in range(m.bit_length()))
 
 
 def point_numerators(params: BernoulliParams, max_digits: int) -> list[int]:
-    """4 * word_value of word m, for every m < 2^max_digits.
+    """4 * gamma for the point gamma of word m, for every m < 2^max_digits.
 
     In value order, word m + 2^k (m < 2^k) is word m plus the digit
     (n/2)(2n)^k, so the list doubles once per digit and visits no word.
@@ -145,41 +137,3 @@ def point_numerators(params: BernoulliParams, max_digits: int) -> list[int]:
         numerators += [numer + power for numer in numerators]
         power *= params.base
     return numerators
-
-
-def stratum_index(word: Word) -> int | None:
-    """Leading-zero count of a nonzero word; None for the zero word.
-
-    Stratum k collects the points (2n)^k * (n/2 + 2n * gamma) over spectrum
-    points gamma, which is exactly the words starting with k zero bits.
-    """
-    check_word(word)
-    return word.index(1) if word else None
-
-
-def tilde_stratum_index(word: Word, params: BernoulliParams) -> int | str:
-    """Classify a stratum-0 word by the gap between its first two 1-bits.
-
-    For n = 2: the word of the point 1 is its own class (TILDE_ONE_POINT);
-    a word (1, 0^k, 1, ...) belongs to class k.  For other n no such split
-    is defined and every word maps to TILDE_OTHER.  Words outside stratum 0
-    are rejected.
-    """
-    check_word(word)
-    if not word or word[0] != 1:
-        raise ValueError(f"word is not in stratum 0: {word!r}")
-    if params.n != 2:
-        return TILDE_OTHER
-    if word == (1,):
-        return TILDE_ONE_POINT
-    return word.index(1, 1) - 1
-
-
-def scale_value(word: Word, params: BernoulliParams) -> QuarterInt:
-    """The spectrum point scaled by p."""
-    return params.require_p() * word_value(word, params)
-
-
-def scale_minus(row: Word, col: Word, params: BernoulliParams) -> QuarterInt:
-    """The argument p*col - row of the operator matrix entry at (row, col)."""
-    return scale_value(col, params) - word_value(row, params)

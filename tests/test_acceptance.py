@@ -27,7 +27,7 @@ from bernspec.matrixlab import (
     verify_odd_twisted_relations,
 )
 from bernspec.operators import parseval_partial, verify_cuntz_relations
-from bernspec.spectrum import scale_minus
+from digit_words import scale_minus, word
 
 SQRT_HALF = math.sqrt(2.0) / 2.0
 
@@ -133,7 +133,7 @@ def test_criterion_08_w0_sparsity(acceptance):
             else:
                 row, col = block.exact_one
                 exact_ones += 1
-                if scale_minus(row, col, params).numerator != 0:
+                if scale_minus(word(row), word(col), params).numerator != 0:
                     exact_ones_valid = False
     ok = (result.passed and result.all_star_blocks_witnessed
           and exact_ones == 4 and exact_ones_valid)

@@ -13,12 +13,8 @@ from bernspec.cli import main, parse_frequency
 from bernspec.exact import BernoulliParams, QuarterInt
 from bernspec.matrixlab import TruncatedMatrix
 from bernspec.report import CheckReport
-from bernspec.spectrum import (
-    enumerate_spectrum,
-    stratum_index,
-    word_to_bits,
-    word_value,
-)
+from bernspec.spectrum import enumerate_spectrum, word_value
+from digit_words import bits, stratum
 
 # 401 digits: past the float range, so float(t) would overflow
 HUGE_INTEGER = str(10**400 + 7)
@@ -154,8 +150,8 @@ class TestSpectrum:
             assert main(["spectrum", "--n", str(n), "--max-digits", str(d),
                          "--order", order]) == 0
             expected = ["word,value,stratum"] + [
-                f"{word_to_bits(w)},{word_value(w, params)},"
-                f"{'' if stratum_index(w) is None else stratum_index(w)}"
+                f"{bits(w)},{word_value(w, params)},"
+                f"{'' if stratum(w) is None else stratum(w)}"
                 for w in enumerate_spectrum(params, d, order)]
             assert capsys.readouterr().out.splitlines() == expected
 

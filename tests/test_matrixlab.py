@@ -30,12 +30,9 @@ from bernspec.spectrum import (
     TILDE_ONE_POINT,
     enumerate_spectrum,
     point_numerators,
-    scale_minus,
-    stratum_index,
-    tilde_stratum_index,
-    word_to_bits,
     word_value,
 )
+from digit_words import bits, gap_class, scale_minus, stratum, word
 
 N2P5 = BernoulliParams(2, 5)
 N3P3 = BernoulliParams(3, 3)
@@ -131,13 +128,11 @@ class TestTruncatedMatrix:
         assert len(calls) == 1
 
     def test_strata_order_blocks_in_mask(self):
-        from bernspec.spectrum import stratum_index
-
         m = TruncatedMatrix.build(N2P5, 4)
         mask = m.zero_mask()
         for i, row in enumerate(m.words):
             for j, col in enumerate(m.words):
-                if stratum_index(row) != stratum_index(col):
+                if stratum(row) != stratum(col):
                     assert mask[i][j]
 
     def test_csv_header_and_size(self):
@@ -212,7 +207,7 @@ class TestTruncatedMatrix:
                 for row in words for col in words]
         assert m.to_csv_text() == "".join(
             ["row_word,col_word,exact_zero,sign,magnitude,error_bound\n"]
-            + [f"{word_to_bits(row)},{word_to_bits(col)},{int(e.exact_zero)},"
+            + [f"{bits(row)},{bits(col)},{int(e.exact_zero)},"
                f"{0 if e.exact_zero else e.sign},{e.magnitude!r},"
                f"{e.error_bound!r}\n" for row, col, e in flat])
         size = len(words)
@@ -220,7 +215,7 @@ class TestTruncatedMatrix:
             0 if e.exact_zero else 255 for _, _, e in flat)
 
         def key(word):
-            k = stratum_index(word)
+            k = stratum(word)
             return "zero-point" if k is None else str(k)
 
         nonzero = Counter((key(row), key(col)) for row, col, e in flat
@@ -418,8 +413,8 @@ class TestSparsity:
             b for b in report.blocks
             if b.row_class == 0 and b.col_class == TILDE_ONE_POINT)
         assert block.nonzero_count == 1
-        assert block.witness == ((1, 1), (1,))
-        assert block.exact_one == ((1, 1), (1,))
+        assert block.witness == ("11", "1")
+        assert block.exact_one == ("11", "1")
 
     def test_higher_class_rows_against_class_zero_all_nonzero(self):
         report = analyze_w0_sparsity(6)
@@ -436,7 +431,7 @@ class TestSparsity:
                 if b.row_class == 0 and b.col_class == k)
             assert block.exact_one is not None
             row, col = block.exact_one
-            assert scale_minus(row, col, N2P5).numerator == 0
+            assert scale_minus(word(row), word(col), N2P5).numerator == 0
 
     def test_truncation_starves_deep_star_block(self):
         # at depth 6 the class (0, 4) star block has no representable
@@ -528,8 +523,8 @@ class TestViolations:
             if not holds:
                 first, first_word, second, second_word = where
                 checks["violations"].append(
-                    f"{failure} at {first} {word_to_bits(first_word)!r}, "
-                    f"{second} {word_to_bits(second_word)!r}")
+                    f"{failure} at {first} {bits(first_word)!r}, "
+                    f"{second} {bits(second_word)!r}")
             return holds
 
         return checks, check
@@ -545,7 +540,7 @@ class TestViolations:
         words = enumerate_spectrum(N2P5, 4)
         for col in words:
             for row in words:
-                if stratum_index(row) != stratum_index(col):
+                if stratum(row) != stratum(col):
                     check(N2P5, 5 * v[col] - v[row], None,
                           "nonzero entry off the block diagonal",
                           ("row", row, "col", col))
@@ -614,13 +609,16 @@ class TestViolations:
         stratum0 = [w for w in enumerate_spectrum(N2P5, 6) if w and w[0] == 1]
         # the gap classes of a depth-6 truncation
         labels = [TILDE_ONE_POINT, 0, 1, 2, 3, 4]
+
+        def first(pairs):
+            # a witness is the (row, col) bit-string pair of the first entry
+            return (bits(pairs[0][0]), bits(pairs[0][1])) if pairs else None
+
         checked, violations, blocks = 0, [], []
         for row_class in labels:
             for col_class in labels:
-                rows = [w for w in stratum0
-                        if tilde_stratum_index(w, N2P5) == row_class]
-                cols = [w for w in stratum0
-                        if tilde_stratum_index(w, N2P5) == col_class]
+                rows = [w for w in stratum0 if gap_class(w) == row_class]
+                cols = [w for w in stratum0 if gap_class(w) == col_class]
                 nonzero = [(row, col) for col in cols for row in rows
                            if not in_zero_set(5 * v[col] - v[row], N2P5)]
                 exact_one = [(row, col) for row, col in nonzero
@@ -632,11 +630,10 @@ class TestViolations:
                     violations.append(
                         f"expected-zero block ({row_class}, {col_class}) has "
                         f"{len(nonzero)} nonzero entries, first at "
-                        f"row {word_to_bits(row)!r}, col {word_to_bits(col)!r}")
+                        f"row {bits(row)!r}, col {bits(col)!r}")
                 blocks.append((row_class, col_class, expected_zero, len(rows),
-                               len(cols), len(nonzero),
-                               nonzero[0] if nonzero else None,
-                               exact_one[0] if exact_one else None))
+                               len(cols), len(nonzero), first(nonzero),
+                               first(exact_one)))
         report = analyze_w0_sparsity(6)
         assert violations
         assert report.check.checked == checked

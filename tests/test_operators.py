@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bernspec import operators, spectrum
+from bernspec import cli, operators
 from bernspec.exact import (
     BernoulliParams,
     QuarterInt,
@@ -24,7 +24,13 @@ from bernspec.exact import (
     mu_hat,
     mu_hat_differences,
 )
+from bernspec.matrixlab import (
+    TruncatedMatrix,
+    analyze_w0_sparsity,
+    verify_w0_sparsity,
+)
 from bernspec.operators import (
+    CoeffVector,
     expand_exponential,
     parseval_partial,
     parseval_table,
@@ -36,12 +42,12 @@ from bernspec.operators import (
 )
 from bernspec.spectrum import (
     enumerate_spectrum,
+    index_bits,
     index_word,
     point_numerators,
-    scale_value,
-    stratum_index,
     word_value,
 )
+from digit_words import bits, stratum, word
 
 N2 = BernoulliParams(2)
 P25 = BernoulliParams(2, 5)
@@ -126,17 +132,37 @@ class TestIsometries:
         for n in (2, 3, 4):
             assert not verify_cuntz_relations(BernoulliParams(n), 4).passed
 
-    def test_verify_cuntz_reaches_no_tuple_word(self, monkeypatch):
-        # the suite runs on indices and numerators: no word tuple, no value
-        for module in (spectrum, operators):
+    def test_verify_cuntz_reaches_no_tuple_word(self, monkeypatch, capsys):
+        # the suites, expansions, census, matrix and CLI run on indices and
+        # numerators: no word tuple, no tuple value
+        namespaces = [module for name, module in sys.modules.items()
+                      if name == "bernspec" or name.startswith("bernspec.")]
+        for module in namespaces:
             for name in ("word_value", "enumerate_spectrum", "check_word",
-                         "word_to_bits", "index_word"):
+                         "index_word"):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, None)
         for n in (2, 3, 4):
             report = verify_cuntz_relations(BernoulliParams(n), 8)
             assert report.passed, report.lines()
             assert report.checked == 7 * 2**8
+        vec = expand_exponential(0.3, P25, 6)
+        assert list(vec.coefficients) == [index_bits(m) for m in range(2**6)]
+        assert vec.get("101") == (vec.coefficients["101"], vec.error_bounds["101"])
+        assert len(parseval_table(0.3, P25, 6, "scaled")) == 7
+        census = analyze_w0_sparsity(6)
+        assert census.passed
+        assert sum(b.witness is not None for b in census.blocks) == 9
+        assert verify_w0_sparsity(7, 4, require_witnesses=True).passed
+        m = TruncatedMatrix.build(P25, 3)
+        assert m.to_csv_text().count("\n") == 1 + 8 * 8
+        assert m.to_json_obj()["size"] == 8
+        assert m.to_pgm_bytes().startswith(b"P5\n8 8\n")
+        assert m.to_svg_text().startswith("<svg")
+        assert cli.main(["spectrum", "--max-digits", "3"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "111,21,0"
+        assert cli.main(["verify", "all"]) == 0
+        assert capsys.readouterr().out.count(": PASS") == 12
 
     @pytest.mark.parametrize("digits,message", [
         (-1, "max_digits must be >= 0"),
@@ -150,7 +176,8 @@ class TestIsometries:
 
 def operator_column(word, params, max_digits):
     """Column of the scaled operator at a word: the expansion at p*gamma."""
-    return expand_exponential(scale_value(word, params), params, max_digits)
+    return expand_exponential(
+        params.require_p() * word_value(word, params), params, max_digits)
 
 
 def tree_frequencies(n: int, scale: int, max_digits: int):
@@ -269,19 +296,19 @@ class TestDigitTree:
 class TestOperatorColumn:
     def test_zero_word_is_fixed(self):
         col = operator_column((), P25, 4)
-        assert col.coefficients == {(): 1.0}
+        assert col.coefficients == {"": 1.0}
         assert col.residual_bound == 0.0
 
     def test_point_one_maps_to_point_five(self):
         # 5 * 1 = 5 is itself a spectrum point: the column is a delta
         col = operator_column((1,), P25, 4)
-        assert col.coefficients == {(1, 1): 1.0}
-        assert col.error_bounds[(1, 1)] == 0.0
+        assert col.coefficients == {"11": 1.0}
+        assert col.error_bounds["11"] == 0.0
         assert col.residual_bound == 0.0
 
     def test_point_five_column(self):
         col = operator_column((1, 1), P25, 5)
-        coeff, err = col.get((1,))
+        coeff, err = col.get("1")
         # frozen from the 64-term product oracle: transform at 5*5 - 1 = 24
         assert coeff == pytest.approx(0.5811539214293868, abs=1e-12)
         assert abs(coeff - 0.5811539214293868) <= err + 1e-12
@@ -293,7 +320,7 @@ class TestOperatorColumn:
         for w in enumerate_spectrum(params, digits):
             col = operator_column(w, params, digits)
             for s in col.coefficients:
-                assert stratum_index(s) == stratum_index(w), (w, s)
+                assert stratum(word(s)) == stratum(w), (w, s)
 
     def test_requires_p(self):
         with pytest.raises(ValueError):
@@ -303,14 +330,14 @@ class TestOperatorColumn:
 class TestExpandExponential:
     def test_spectrum_point_gives_exact_delta(self):
         vec = expand_exponential(QuarterInt.from_int(5), N2, 4)
-        assert vec.coefficients == {(1, 1): 1.0}
+        assert vec.coefficients == {"11": 1.0}
         assert vec.residual_bound == 0.0
 
     def test_orthogonality_pairs(self):
         # distinct truncated points expand with no cross terms at all
         for w in enumerate_spectrum(N2, 4):
             vec = expand_exponential(word_value(w, N2), N2, 4)
-            assert vec.coefficients == {w: 1.0}
+            assert vec.coefficients == {bits(w): 1.0}
 
     def test_generic_point_mass_accumulates(self):
         norms = [
@@ -332,6 +359,18 @@ class TestExpandExponential:
         assert vec.residual_bound == max(
             0.0, 1.0 - float(accounted) + 2.0 * float(padding))
         assert vec.norm_sq() == float(accounted)
+
+    @pytest.mark.parametrize("bad", [(1, 0), (1,), (), "10", "0", "12", " 1", 5, None],
+                             ids=["tuple-trailing-zero", "tuple", "empty-tuple",
+                                  "trailing-zero", "zero", "digit-2", "space", "int",
+                                  "none"])
+    def test_get_rejects_a_non_word(self, bad):
+        # a non-word has no coefficient, not a zero one
+        vec = CoeffVector({"1": 0.5, "11": 0.25}, {"1": 0.0, "11": 1e-17}, 0.6875)
+        assert vec.get("") == (0.0, 0.0)
+        assert vec.get("11") == (0.25, 1e-17)
+        with pytest.raises(ValueError, match="not a canonical bit-string word"):
+            vec.get(bad)
 
     def test_walk_does_not_import_numpy(self):
         # a fresh interpreter: the expansion is pure Python

@@ -21,6 +21,7 @@ import pytest
 from bernspec.exact import DEFAULT_TOL, BernoulliParams, QuarterInt, mu_hat
 from bernspec.operators import expand_exponential, parseval_table
 from bernspec.spectrum import enumerate_spectrum, word_value
+from digit_words import bits
 
 _ORACLE_PATH = Path(__file__).resolve().parents[1] / "bench" / "oracle.py"
 _spec = importlib.util.spec_from_file_location("bernspec_bench_oracle", _ORACLE_PATH)
@@ -170,11 +171,11 @@ def test_expansion_at_decimal_t(t, n):
     vector = expand_exponential(t, params, DIGITS)
     problems = []
     for w in enumerate_spectrum(params, DIGITS):
-        value, bound = vector.get(w)
+        value, bound = vector.get(bits(w))  # keys are bit strings
         problem = value_problem(
             f"n={n} t={t} word={w}",
             Fraction(t) - exact_value(word_value(w, params)), n,
-            w not in vector.coefficients, value, bound)
+            bits(w) not in vector.coefficients, value, bound)
         if problem:
             problems.append(problem)
     assert problems == []

@@ -12,20 +12,17 @@ from bernspec.exact import BernoulliParams, QuarterInt, in_zero_set
 from bernspec.spectrum import (
     ITEM_BUDGET,
     TILDE_ONE_POINT,
-    TILDE_OTHER,
     check_budget,
     check_word,
     enumerate_spectrum,
+    index_bits,
+    index_stratum,
     index_word,
-    parse_word,
     point_numerators,
-    scale_value,
-    stratum_index,
-    tilde_stratum_index,
     word_indices,
-    word_to_bits,
     word_value,
 )
+from digit_words import bits, gap_class, stratum
 
 N2 = BernoulliParams(2)
 N3 = BernoulliParams(3)
@@ -72,18 +69,15 @@ class TestCheckWord:
 
 class TestSerialization:
     def test_round_trip(self):
-        for w in enumerate_spectrum(N2, 5):
-            assert parse_word(word_to_bits(w)) == w
+        # the bit string of word m reads back as m, and as m's digit tuple
+        for m in range(2**10):
+            assert int(index_bits(m)[::-1] or "0", 2) == m
+            assert index_bits(m) == bits(index_word(m))
 
     def test_bit_order(self):
-        assert word_to_bits((1, 0, 1)) == "101"
-        assert word_to_bits(()) == ""
-
-    def test_parse_rejects_junk(self):
-        with pytest.raises(ValueError):
-            parse_word("102")
-        with pytest.raises(ValueError):
-            parse_word("10")  # trailing zero: not canonical
+        assert index_bits(5) == "101"
+        assert index_bits(2) == "01"
+        assert index_bits(0) == ""
 
 
 class TestEnumerate:
@@ -129,7 +123,7 @@ class TestEnumerate:
     def test_strata_order_sorts_by_stratum_then_value(self, params):
         for d in range(0, 8):
             expected = sorted(enumerate_spectrum(params, d), key=lambda w: (
-                -1 if not w else stratum_index(w), word_value(w, params)))
+                -1 if not w else stratum(w), word_value(w, params)))
             assert enumerate_spectrum(params, d, order="strata") == expected
 
     @pytest.mark.parametrize("order", ["value", "strata"])
@@ -193,17 +187,18 @@ class TestEnumerate:
 
 class TestStrata:
     def test_examples(self):
-        assert stratum_index(()) is None
-        assert stratum_index((1, 1)) == 0
-        assert stratum_index((0, 1)) == 1
-        assert stratum_index((0, 0, 1)) == 2
+        assert index_stratum(0) == -1        # ()
+        assert index_stratum(3) == 0         # (1, 1)
+        assert index_stratum(2) == 1         # (0, 1)
+        assert index_stratum(4) == 2         # (0, 0, 1)
 
-    @given(canonical_words(8), st.sampled_from([N2, N3, N4]))
-    def test_decomposition(self, word, params):
+    @given(st.integers(0, 2**8 - 1), st.sampled_from([N2, N3, N4]))
+    def test_decomposition(self, m, params):
         # stratum k point = (2n)^k * (n/2 + 2n * gamma), gamma the tail point
-        k = stratum_index(word)
-        if k is None:
-            assert word == ()
+        k = index_stratum(m)
+        word = index_word(m)
+        assert k == (-1 if m == 0 else stratum(word))
+        if k == -1:
             return
         tail = word[k + 1:]
         value = word_value(word, params)
@@ -211,33 +206,26 @@ class TestStrata:
         assert value == params.base ** k * inner
 
     def test_partition(self):
-        words = enumerate_spectrum(N2, 7)
+        count = 2**7
         by_stratum: dict[int, int] = {}
-        for w in words:
-            k = stratum_index(w)
-            if k is not None:
+        for m in range(count):
+            k = index_stratum(m)
+            if k != -1:
                 by_stratum[k] = by_stratum.get(k, 0) + 1
-        assert sum(by_stratum.values()) == len(words) - 1
+        assert sum(by_stratum.values()) == count - 1
         # stratum k of a depth-7 truncation has 2^(7-k-1) words
         assert by_stratum == {k: 2 ** (7 - k - 1) for k in range(7)}
 
 
 class TestTildeStrata:
+    """The gap classes of the census, pinned through the tests' reference."""
+
     def test_examples(self):
-        assert tilde_stratum_index((1,), N2) == TILDE_ONE_POINT
-        assert tilde_stratum_index((1, 1), N2) == 0          # value 5
-        assert tilde_stratum_index((1, 0, 1), N2) == 1        # value 17
-        assert tilde_stratum_index((1, 1, 1), N2) == 0        # value 21
-        assert tilde_stratum_index((1, 0, 0, 1), N2) == 2
-
-    def test_other_for_n3(self):
-        assert tilde_stratum_index((1, 1), N3) == TILDE_OTHER
-
-    def test_rejects_outside_stratum_zero(self):
-        with pytest.raises(ValueError):
-            tilde_stratum_index((0, 1), N2)
-        with pytest.raises(ValueError):
-            tilde_stratum_index((), N2)
+        assert gap_class((1,)) == TILDE_ONE_POINT
+        assert gap_class((1, 1)) == 0          # value 5
+        assert gap_class((1, 0, 1)) == 1        # value 17
+        assert gap_class((1, 1, 1)) == 0        # value 21
+        assert gap_class((1, 0, 0, 1)) == 2
 
     def test_value_form(self):
         # class k values are 1 + 4^(k+1) * (1 + 4 * gamma)
@@ -247,7 +235,7 @@ class TestTildeStrata:
         for w in enumerate_spectrum(N2, 7):
             if not w or w[0] != 1:
                 continue
-            k = tilde_stratum_index(w, N2)
+            k = gap_class(w)
             value = word_value(w, N2).numerator // 4
             if k == TILDE_ONE_POINT:
                 assert value == 1
@@ -257,11 +245,3 @@ class TestTildeStrata:
                 assert shifted % 4 == 1
                 assert (shifted - 1) // 4 in gamma_values
 
-
-class TestScaleValue:
-    def test_example(self):
-        assert scale_value((0, 1), BernoulliParams(2, 5)) == QuarterInt.from_int(20)
-
-    def test_requires_p(self):
-        with pytest.raises(ValueError):
-            scale_value((1,), N2)
