@@ -20,7 +20,6 @@ from pathlib import Path
 from typing import Callable
 
 from bernspec.exact import (
-    DEFAULT_TOL,
     BernoulliParams,
     QuarterInt,
     chaos_game_estimate,
@@ -108,7 +107,7 @@ def cmd_muhat(args: argparse.Namespace) -> int:
     params = BernoulliParams(args.n)
     t = parse_frequency(args.t)
     if args.terms is None:
-        result = mu_hat(t, params, args.tol)
+        result = mu_hat(t, params)
     else:
         result = mu_hat_product(t, params, args.terms)
     if args.json:
@@ -146,8 +145,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 
 def cmd_matrix(args: argparse.Namespace) -> int:
     params = BernoulliParams(args.n, args.p)
-    matrix = TruncatedMatrix.build(
-        params, args.max_digits, tol=args.tol, order=args.order)
+    matrix = TruncatedMatrix.build(params, args.max_digits, order=args.order)
     summary = matrix.to_json_text()
     _write("--csv", args.csv, matrix.write_csv)
     _write("--json-file", args.json_file, lambda path: path.write_text(summary))
@@ -249,7 +247,7 @@ def cmd_parseval(args: argparse.Namespace) -> int:
     params = BernoulliParams(args.n, args.p)
     basis = "spectrum" if args.base == "gamma" else "scaled"
     t = parse_frequency(args.t)
-    table = parseval_table(t, params, args.max_digits, basis, args.tol)
+    table = parseval_table(t, params, args.max_digits, basis)
     if args.json:
         print(json.dumps([
             {"digits": d, "partial_sum": row.value, "error_bound": row.error_bound}
@@ -265,7 +263,7 @@ def cmd_parseval(args: argparse.Namespace) -> int:
 def cmd_chaos(args: argparse.Namespace) -> int:
     params = BernoulliParams(args.n)
     t = parse_frequency(args.t)
-    reference = mu_hat(t, params, args.tol)
+    reference = mu_hat(t, params)
     # every estimate runs before the first line, so a rejected input
     # prints nothing
     estimates = [chaos_game_estimate(t, params, samples, seed=args.seed)
@@ -303,7 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_muhat.add_argument("--n", type=int, default=2)
     p_muhat.add_argument("--t", required=True,
                          help="frequency: integer, a/2, a/4, or decimal")
-    p_muhat.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p_muhat.add_argument("--terms", type=int, default=None,
                          help="force a fixed product length")
     p_muhat.add_argument("--json", action="store_true")
@@ -324,7 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_matrix.add_argument("--n", type=int, default=2)
     p_matrix.add_argument("--p", type=int, required=True)
     p_matrix.add_argument("--max-digits", type=int, required=True)
-    p_matrix.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p_matrix.add_argument("--order", choices=("value", "strata"),
                           default="strata")
     p_matrix.add_argument("--csv", default=None)
@@ -357,7 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_parseval.add_argument("--base", choices=("gamma", "scaled"),
                             default="gamma")
     p_parseval.add_argument("--max-digits", type=int, required=True)
-    p_parseval.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p_parseval.add_argument("--json", action="store_true")
     p_parseval.set_defaults(func=cmd_parseval)
 
@@ -368,7 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_chaos.add_argument("--samples", type=int, nargs="+",
                          default=[1_000_000])
     p_chaos.add_argument("--seed", type=int, default=0)
-    p_chaos.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p_chaos.set_defaults(func=cmd_chaos)
 
     return parser

@@ -15,8 +15,8 @@ through its exact ratio numerator/denominator, so one factor walk serves
 them all.  The walk takes the whole infinite product: a cosine per factor
 while 2|t|/(2n)^k > 1/64, then the rest in closed form as exp(-S), S a
 certified series for the sum of -ln cos.  Its bound is at the rounding
-level whatever tol is; mu_hat_product is the fixed-length truncation, an
-independent reference.  mu_hat_differences takes the transform at
+level, so evaluation takes no tolerance; mu_hat_product is the
+fixed-length truncation, an independent reference.  mu_hat_differences takes the transform at
 t - scale * gamma over a whole spectrum truncation along the digit tree of
 the Cuntz isometries, one pass per tree level: one cosine per tree node,
 and for each word one difference that serves its own node and the factors
@@ -81,11 +81,6 @@ _SERIES_SLOP = 32.0 * _EPS
 # b^(2i)/(b^(2i) - 1) <= 4/3 (n = 1), so for z = pi y <= pi/64 they add at
 # most 4/3 * 0.61563 * z^14 / (1 - z^2) < 0.823 z^14.
 _SERIES_REMAINDER = 0.83
-
-# Default tol of every evaluation.  The certified walk is complete at any
-# tol, so its bound sits at the rounding level whatever tol is; tol is
-# still checked.
-DEFAULT_TOL = 1e-12
 
 # Most items one request may hold: spectrum words, matrix entries, verifier
 # word pairs, chaos samples or product factors.  A built matrix keeps 4
@@ -634,17 +629,8 @@ def mu_hat_product(
     return MuHatValue(False, -1 if prod < 0.0 else 1, abs(prod), bound)
 
 
-def _check_tol(tol: float) -> None:
-    # the walk is complete at any tol, which sizes nothing and is only
-    # checked
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"tol must be finite and positive, got {tol!r}")
-    if tol / 2.0 == 0.0:
-        raise ValueError(f"tol / 2 underflows to 0, got tol = {tol!r}")
-
-
-def mu_hat(t: QuarterInt | Fraction | float, params: BernoulliParams,
-           tol: float = DEFAULT_TOL) -> MuHatValue:
+def mu_hat(t: QuarterInt | Fraction | float,
+           params: BernoulliParams) -> MuHatValue:
     """Certified transform value at a quarter-integer or a real point.
 
     A quarter-integer, and a fraction or float whose exact value is one
@@ -653,10 +639,8 @@ def mu_hat(t: QuarterInt | Fraction | float, params: BernoulliParams,
     other point is fully reduced before its product.  The whole infinite
     product is then evaluated, its factors past 2|t|/(2n)^k <= 1/64 in
     closed form, so error_bound is the honest total rounding error, at the
-    level of a few ulps times the factor count, whatever tol is.  tol must
-    still be finite and positive, with tol / 2 above 0.
+    level of a few ulps times the factor count.
     """
-    _check_tol(tol)
     numer, denom = _ratio(t)
     sign = 1
     if 4 % denom == 0:
@@ -671,25 +655,23 @@ def mu_hat(t: QuarterInt | Fraction | float, params: BernoulliParams,
     return MuHatValue(False, sign * (-1 if prod < 0.0 else 1), abs(prod), bound)
 
 
-def mu_hat_many(numers: np.ndarray, params: BernoulliParams,
-                tol: float = DEFAULT_TOL) -> tuple[np.ndarray, list[MuHatValue]]:
+def mu_hat_many(numers: np.ndarray,
+                params: BernoulliParams) -> tuple[np.ndarray, list[MuHatValue]]:
     """mu_hat at the quarter-integers numers / 4, as codes into a value table.
 
     numers is an int64 array, or an object array of Python ints, of any
     shape.  Returns (codes, values): an int32 array of that shape and the
     distinct values, with values[codes[i]] equal (==) to
-    mu_hat(QuarterInt(numers[i]), params, tol), bit for bit.  Code 0 is the
+    mu_hat(QuarterInt(numers[i]), params), bit for bit.  Code 0 is the
     exact zero, and every other value is taken by some element.  One
     reduce_arguments call gives each element (sign, reduced); mu_hat is
     even and mu_hat(t) = sign * mu_hat(|reduced|), so the signed key
     sign * |reduced| names each value.  The certified walk of each distinct
     |reduced| runs once, all of them together, with the integer phase, the
     float operations and the libm calls of the scalar walk (see _products).
-    tol is checked as by mu_hat and changes no value.  Nothing here keeps
-    numers past its reduction, so an array passed as a temporary is freed
-    there.
+    Nothing here keeps numers past its reduction, so an array passed as a
+    temporary is freed there.
     """
-    _check_tol(tol)
     import numpy as np
 
     base = params.base
@@ -727,7 +709,6 @@ def mu_hat_differences(
     params: BernoulliParams,
     points: list[int],
     scale: int = 1,
-    tol: float = DEFAULT_TOL,
 ) -> Iterator[tuple[float, float] | None]:
     """The transform at t - scale * gamma for every point of a truncation.
 
@@ -756,7 +737,6 @@ def mu_hat_differences(
     covers the value mu_hat certifies at the same exact difference, and
     None comes exactly where mu_hat returns an exact zero.
     """
-    _check_tol(tol)
     depth = len(points).bit_length() - 1
     if depth < 0 or len(points) != 1 << depth:
         raise ValueError(f"points must hold 2^d numerators, got {len(points)}")
@@ -780,40 +760,22 @@ def mu_hat_differences(
     # are 2^(k-1) <= m < 2^k.  The zero word, of length 0, has no node
     # factor: modulo 1 its num is 0, the factor 1.
     level: list[tuple[float, float] | None] = [(1.0, 0.0)]
-    words, mask, den, den2, zeros = range(1), 0, denom, 1, ()
+    half, end, mask, den, den2, zeros = 0, 1, 0, denom, 1, ()
     for length in range(depth + 1):
         parents = level
         if length:
             # den is denom (2n)^k
             den *= base
             half = len(parents)
-            words, mask, den2 = range(half, 2 * half), half - 1, 2 * den
+            end, mask, den2 = 2 * half, half - 1, 2 * den
             zeros = (den // 2, 3 * den // 2)
         level = []
         keep = level.append if length < depth else None
-        if keep and length:
-            # the lower half of a level only serves longer words
-            for r in range(half):
-                node = parents[r]
-                if node is not None:
-                    num = 2 * abs(numer - step * points[r]) % den2
-                    if num in zeros:
-                        node = None
-                    elif num == den:
-                        node = (-node[0], node[1])
-                    elif num:
-                        prod, err = node
-                        value = cospi(num / den)
-                        new_prod = prod * value
-                        growth = abs(value) + factor_err
-                        node = (new_prod,
-                                half_eps * abs(new_prod) + abs(prod) * factor_err
-                                + err * (growth if growth < 1.0 else 1.0)
-                                + underflow)
-                keep(node)
-        # a word's own node (length, m) and its tail, from one difference
+        # node (length, m) of every m < end, from one difference; the
+        # lower half m < half only serves longer words, so it is walked
+        # only when a level is kept, and the words m >= half take the tail
         tail_den = den * base
-        for m in words:
+        for m in range(0 if keep else half, end):
             node = parents[m & mask]
             if node is not None:
                 diff = numer - step * points[m]
@@ -834,6 +796,8 @@ def mu_hat_differences(
                             + underflow)
             if keep:
                 keep(node)
+                if m < half:
+                    continue
             if node is None:
                 yield None
                 continue

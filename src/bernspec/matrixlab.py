@@ -16,7 +16,6 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterator
 
 from bernspec.exact import (
-    DEFAULT_TOL,
     BernoulliParams,
     MuHatValue,
     mu_hat_many,
@@ -67,7 +66,6 @@ class TruncatedMatrix:
         cls,
         params: BernoulliParams,
         max_digits: int,
-        tol: float = DEFAULT_TOL,
         order: str = "strata",
     ) -> TruncatedMatrix:
         """Every entry mu_hat(p*col - row), as codes into one value table.
@@ -89,7 +87,7 @@ class TruncatedMatrix:
         dtype = np.int64 if (p + 1) * max(numers) < 2**62 else object
         grid = np.array(numers, dtype=dtype)
         # the argument grid is a temporary, freed once it is reduced
-        codes, values = mu_hat_many(p * grid - grid[:, None], params, tol)
+        codes, values = mu_hat_many(p * grid - grid[:, None], params)
         return cls(params, max_digits, order, indices, codes, values)
 
     def zero_mask(self) -> list[list[bool]]:

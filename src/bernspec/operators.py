@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from bernspec.exact import (
-    DEFAULT_TOL,
     BernoulliParams,
     QuarterInt,
     mu_hat_differences,
@@ -159,7 +158,6 @@ def expand_exponential(
     t: QuarterInt | float,
     params: BernoulliParams,
     max_digits: int,
-    tol: float = DEFAULT_TOL,
 ) -> CoeffVector:
     """Expand the exponential at frequency t over the truncated spectrum.
 
@@ -171,7 +169,7 @@ def expand_exponential(
     coefficients: dict[str, float] = {}
     error_bounds: dict[str, float] = {}
     for m, c in enumerate(mu_hat_differences(
-            t, params, point_numerators(params, max_digits), 1, tol)):
+            t, params, point_numerators(params, max_digits))):
         if c is not None:
             w = index_bits(m)
             coefficients[w], error_bounds[w] = c
@@ -193,7 +191,6 @@ def parseval_table(
     params: BernoulliParams,
     max_digits: int,
     basis: str = "spectrum",
-    tol: float = DEFAULT_TOL,
 ) -> list[ParsevalSum]:
     """Partial Parseval sums of |<exp(t), exp(b)>|^2 at depths 0..max_digits.
 
@@ -210,7 +207,7 @@ def parseval_table(
     err = 0.0
     for index, c in enumerate(
             mu_hat_differences(t, params, point_numerators(params, max_digits),
-                               scale, tol)):
+                               scale)):
         if c is not None:
             coeff, coeff_err = c
             total += coeff * coeff
@@ -227,7 +224,6 @@ def parseval_partial(
     params: BernoulliParams,
     max_digits: int,
     basis: str = "spectrum",
-    tol: float = DEFAULT_TOL,
 ) -> ParsevalSum:
     """The last row of parseval_table: the partial sum at depth max_digits."""
-    return parseval_table(t, params, max_digits, basis, tol)[-1]
+    return parseval_table(t, params, max_digits, basis)[-1]

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+# Most violations CheckReport.lines prints; the rest are counted.
+VIOLATION_LINES = 10
+
 
 @dataclass
 class CheckReport:
@@ -26,12 +29,12 @@ class CheckReport:
         return (f"{self.suite}: FAIL ({self.checked} checks, "
                 f"{len(self.violations)} violations)")
 
-    def lines(self, limit: int = 10) -> list[str]:
+    def lines(self) -> list[str]:
         out = [self.summary()]
-        for message in self.violations[:limit]:
+        for message in self.violations[:VIOLATION_LINES]:
             out.append(f"  violation: {message}")
-        if len(self.violations) > limit:
-            out.append(f"  ... and {len(self.violations) - limit} more")
+        if len(self.violations) > VIOLATION_LINES:
+            out.append(f"  ... and {len(self.violations) - VIOLATION_LINES} more")
         return out
 
     def to_json_obj(self) -> dict:

@@ -18,7 +18,6 @@ from bernspec.exact import (
     chaos_game_estimate,
     in_zero_set,
     mu_hat,
-    mu_hat_differences,
     mu_hat_many,
     mu_hat_product,
     reduce_argument,
@@ -365,27 +364,6 @@ class TestMuHat:
         b = mu_hat(QuarterInt(-numer), params)
         assert a.value == b.value and a.exact_zero == b.exact_zero
 
-    def test_rejects_bad_tol(self):
-        with pytest.raises(ValueError):
-            mu_hat(QuarterInt(1), N2, tol=0.0)
-
-    @pytest.mark.parametrize("tol", [-1e-12, math.inf, -math.inf, math.nan])
-    def test_rejects_negative_or_non_finite_tol(self, tol):
-        with pytest.raises(ValueError, match="tol must be finite and positive"):
-            mu_hat(0.3, N2, tol=tol)
-
-    @pytest.mark.parametrize("evaluate", [
-        lambda tol: mu_hat(QuarterInt(1), N2, tol),
-        lambda tol: mu_hat_many(np.array([1]), N2, tol),
-        lambda tol: next(mu_hat_differences(0.3, N2, [0], tol=tol)),
-    ], ids=["mu_hat", "mu_hat_many", "mu_hat_differences"])
-    def test_rejects_tol_whose_half_underflows(self, evaluate):
-        # tol changes no value, but a tol whose half underflows is still
-        # rejected; the next float up works
-        with pytest.raises(ValueError, match="tol / 2 underflows to 0"):
-            evaluate(5e-324)
-        evaluate(1e-323)
-
     def test_float_argument_sizes_its_product(self):
         # a fixed 64-term product leaves a bound above the value here
         res = mu_hat(3.3e38, N2)
@@ -449,18 +427,16 @@ class TestMuHatMany:
     @settings(max_examples=300, deadline=None)
     def test_equals_scalar_mu_hat(self, data):
         # every field of every element == the scalar mu_hat, in an int64
-        # array and in an object array alike; tol is checked but changes no
-        # value, so 1e-15 and 1e3 give the bits of the default
+        # array and in an object array alike
         params = BernoulliParams(data.draw(st.integers(1, 7)))
         numers = data.draw(st.lists(walk_numerators(params.base),
                                     min_size=1, max_size=40))
         dtype = data.draw(st.sampled_from([np.int64, object]))
         if dtype is np.int64:
             numers = [x for x in numers if abs(x) < 2**63] or [0]
-        tol = data.draw(st.sampled_from([1e-15, 1e-12, 1e3]))
-        codes, values = mu_hat_many(np.array(numers, dtype=dtype), params, tol)
+        codes, values = mu_hat_many(np.array(numers, dtype=dtype), params)
         assert [values[c] for c in codes.tolist()] == [
-            mu_hat(QuarterInt(x), params, tol) for x in numers]
+            mu_hat(QuarterInt(x), params) for x in numers]
 
     @pytest.mark.parametrize("dtype", [np.int64, object])
     @pytest.mark.parametrize("n", [1, 2, 40])
@@ -513,11 +489,6 @@ class TestMuHatMany:
         # besides code 0, the table holds only values some element takes
         assert sorted(set(codes.ravel().tolist()) | {0}) == list(
             range(len(values)))
-
-    @pytest.mark.parametrize("tol", [0.0, -1e-12, math.inf, math.nan])
-    def test_rejects_bad_tol(self, tol):
-        with pytest.raises(ValueError, match="tol must be finite and positive"):
-            mu_hat_many(np.array([5]), N2, tol=tol)
 
 
 # ---------------------------------------------------------------------------

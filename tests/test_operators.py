@@ -249,13 +249,11 @@ class TestDigitTree:
         scale = data.draw(st.sampled_from((1, 3, 5, 7)), label="scale")
         depth = data.draw(st.integers(0, 8), label="depth")
         t = data.draw(tree_frequencies(n, scale, depth), label="t")
-        # a tol past 1 must not cut a tail short of its zero factor
-        tol = data.draw(st.sampled_from((1e-12, 1e-6, 1e3)), label="tol")
         params = BernoulliParams(n)
         points = point_numerators(params, depth + 3)
-        deeper = list(mu_hat_differences(t, params, points, scale, tol))
+        deeper = list(mu_hat_differences(t, params, points, scale))
         values = list(mu_hat_differences(
-            t, params, points[:2**depth], scale, tol))
+            t, params, points[:2**depth], scale))
         # a word's value does not depend on the truncation depth
         assert values == deeper[:2**depth]
         # bit for bit the composition of the scalar helpers
@@ -263,7 +261,7 @@ class TestDigitTree:
                           for m in range(2**depth)]
         for m, c in enumerate(values):
             ref = mu_hat(exact_frequency(t) - Fraction(scale * points[m], 4),
-                         params, tol)
+                         params)
             # None is an exact zero, and only there
             assert (c is None) == ref.exact_zero, m
             if c is None:

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from bernspec.exact import DEFAULT_TOL, BernoulliParams, QuarterInt, mu_hat
+from bernspec.exact import BernoulliParams, QuarterInt, mu_hat
 from bernspec.operators import expand_exponential, parseval_table
 from bernspec.spectrum import enumerate_spectrum, word_value
 from digit_words import bits
@@ -36,6 +36,8 @@ NS = (1, 2, 3, 4, 5, 6, 7)
 DECIMALS = (0.3, -41.7, 123.456789, 12345.5, 1.2345e20)
 SCALED_P = {2: 5, 3: 5, 4: 3}
 DIGITS = 6
+# the most error_bound any value or Parseval row may carry
+BOUND_LIMIT = 1e-12
 
 
 def quarter_points(n: int) -> list[QuarterInt]:
@@ -88,7 +90,7 @@ def value_problem(label: str, x: Fraction, n: int, exact_zero: bool,
     """Why a value of the transform at x, within bound, is wrong, or None.
 
     An exact zero must be a zero-set member and every other value must hold
-    the oracle's within its bound, which may not exceed the default tol.
+    the oracle's within its bound, which may not exceed BOUND_LIMIT.
     """
     quarter = 4 * x
     expected_zero = (quarter.denominator == 1
@@ -97,8 +99,8 @@ def value_problem(label: str, x: Fraction, n: int, exact_zero: bool,
         return f"{label}: exact_zero={exact_zero}, zero set says {expected_zero}"
     if exact_zero:
         return None
-    if bound > DEFAULT_TOL:
-        return f"{label}: error_bound {bound!r} above the default tol"
+    if bound > BOUND_LIMIT:
+        return f"{label}: error_bound {bound!r} above {BOUND_LIMIT}"
     problem = oracle.certified_problem(
         -1 if value < 0.0 else 1, abs(value), bound, transform(x, n))
     return f"{label}: {problem}" if problem else None
@@ -196,9 +198,9 @@ def test_parseval_rows_at_decimal_t(basis, t, n):
     problems = []
     for d, row in enumerate(table):
         label = f"n={n} t={t} {basis} row {d}"
-        if row.error_bound > DEFAULT_TOL:
+        if row.error_bound > BOUND_LIMIT:
             problems.append(f"{label}: error_bound {row.error_bound!r} "
-                            f"above the default tol")
+                            f"above {BOUND_LIMIT}")
         problem = oracle.certified_problem(
             1, row.value, row.error_bound, sum(squares[:2**d]))
         if problem:
