@@ -30,7 +30,6 @@ from bernspec.operators import (
     CoeffVector,
     ParsevalSum,
     expand_exponential,
-    parseval_partial,
     parseval_table,
     prepend_one,
     prepend_zero,
@@ -39,12 +38,7 @@ from bernspec.operators import (
     verify_cuntz_relations,
 )
 from bernspec.report import CheckReport
-from bernspec.spectrum import (
-    TILDE_ONE_POINT,
-    Word,
-    enumerate_spectrum,
-    word_value,
-)
+from bernspec.spectrum import TILDE_ONE_POINT
 
 __version__ = "0.1.0"
 
@@ -60,16 +54,13 @@ __all__ = [
     "SparsityReport",
     "TILDE_ONE_POINT",
     "TruncatedMatrix",
-    "Word",
     "analyze_w0_sparsity",
     "chaos_game_estimate",
-    "enumerate_spectrum",
     "expand_exponential",
     "in_zero_set",
     "mu_hat",
     "mu_hat_many",
     "mu_hat_product",
-    "parseval_partial",
     "parseval_table",
     "prepend_one",
     "prepend_zero",
@@ -85,5 +76,4 @@ __all__ = [
     "verify_multiplication_identity",
     "verify_odd_twisted_relations",
     "verify_w0_sparsity",
-    "word_value",
 ]

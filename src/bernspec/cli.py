@@ -17,8 +17,10 @@ import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from types import ModuleType
 from typing import Callable
 
+from bernspec import matrixlab, operators
 from bernspec.exact import (
     BernoulliParams,
     QuarterInt,
@@ -26,17 +28,8 @@ from bernspec.exact import (
     mu_hat,
     mu_hat_product,
 )
-# the verify_* names are called by name through VERIFY_SUITES
-from bernspec.matrixlab import (
-    TruncatedMatrix,
-    verify_block_diagonal,
-    verify_block_equality,
-    verify_commutation_even,
-    verify_multiplication_identity,
-    verify_odd_twisted_relations,
-    verify_w0_sparsity,
-)
-from bernspec.operators import parseval_table, verify_cuntz_relations
+from bernspec.matrixlab import TruncatedMatrix
+from bernspec.operators import parseval_table
 from bernspec.report import CheckReport
 from bernspec.spectrum import (
     index_bits,
@@ -163,12 +156,13 @@ class Suite:
     the verifier's keyword), to its default.  n and p reach the verifier
     as one BernoulliParams; p None means 5 when n = 2 and 3 otherwise.
     battery lists the `verify all` runs as overrides of defaults.  The
-    verifier is held by name and looked up in this module when the suite
+    verifier is held by its module and name and looked up when the suite
     runs, so a replaced module attribute takes effect.  A run that makes
     no check is an error, not a pass.
     """
 
     name: str
+    module: ModuleType
     verifier: str
     defaults: dict
     battery: tuple[dict, ...] = ({},)
@@ -180,7 +174,7 @@ class Suite:
             if p is None and "p" in self.defaults:
                 p = 5 if n == 2 else 3
             kwargs["params"] = BernoulliParams(n, p)
-        report = globals()[self.verifier](**kwargs)
+        report = getattr(self.module, self.verifier)(**kwargs)
         if report.checked == 0:
             raise ValueError(
                 f"verify {self.name} made 0 checks: --max-digits "
@@ -189,18 +183,19 @@ class Suite:
 
 
 VERIFY_SUITES = {suite.name: suite for suite in (
-    Suite("cuntz", "verify_cuntz_relations", {"n": 2, "max_digits": 8},
-          ({}, {"n": 3}, {"n": 4})),
-    Suite("block-diagonal", "verify_block_diagonal",
+    Suite("cuntz", operators, "verify_cuntz_relations",
+          {"n": 2, "max_digits": 8}, ({}, {"n": 3}, {"n": 4})),
+    Suite("block-diagonal", matrixlab, "verify_block_diagonal",
           {"n": 2, "p": None, "max_digits": 6}, ({}, {"n": 4})),
-    Suite("block-equality", "verify_block_equality",
+    Suite("block-equality", matrixlab, "verify_block_equality",
           {"n": 2, "p": None, "max_digits": 6, "k_max": 3}),
-    Suite("commute-even", "verify_commutation_even",
+    Suite("commute-even", matrixlab, "verify_commutation_even",
           {"n": 2, "p": None, "max_digits": 5}, ({}, {"n": 4})),
-    Suite("commute-odd", "verify_odd_twisted_relations",
+    Suite("commute-odd", matrixlab, "verify_odd_twisted_relations",
           {"n": 3, "p": None, "max_digits": 4}, ({}, {"p": 5})),
-    Suite("multiplication", "verify_multiplication_identity", {"max_digits": 6}),
-    Suite("w0-sparsity", "verify_w0_sparsity",
+    Suite("multiplication", matrixlab, "verify_multiplication_identity",
+          {"max_digits": 6}),
+    Suite("w0-sparsity", matrixlab, "verify_w0_sparsity",
           {"max_digits": 6, "tilde_max": None, "require_witnesses": False},
           ({"max_digits": 7, "tilde_max": 4, "require_witnesses": True},)),
 )}

@@ -409,62 +409,6 @@ def _tail_bound(log_tail: float, base: int, terms: int) -> float:
     return min(2.0, math.exp(log_s) * (1.0 + 1e-9))
 
 
-def _product(numer: int, denom: int, base: int, terms: int,
-             log_tail: float) -> tuple[float, float] | None:
-    # The truncated walk behind mu_hat_product: prod_{k=1..terms}
-    # cos(2 pi x / base^k) at x = numer/denom != 0 and a bound that covers
-    # the rounding AND the dropped tail; None when a factor is exactly
-    # zero.  log_tail is _log_tail(numer, denom, base).
-    #
-    # Factor k is cos(pi r_k) with r_k = s_k mod 2 and s_k = 2|x| / base^k.
-    # While s_k >= 1, r_k is reduced exactly as an integer ratio, so grid
-    # values (0, +-1 and the zeros) are decided on integers and only one
-    # rounded division reaches the cosine.  Once s_k < 1 is off the grid, no
-    # later s_j = s_k / base^(j-k) wraps or lands on the grid (they lie in
-    # (0, 1/2)), so the walk goes on in floats from half an ulp of argument
-    # error: division is exact when 2n is a power of two, else costs half
-    # an ulp per step.  A base past the float range divides by inf, which
-    # sends y to 0 from below 2^-1023: far inside the cosine slop.
-    # |mu_hat| <= 1, so 1 + |prod| is always honest; it caps the bound of
-    # a product too short for its argument.
-    prod = 1.0
-    err = 0.0
-    twice = 2 * abs(numer)
-    den = denom
-    k = 0
-    while k < terms:
-        den *= base
-        if twice < den and 2 * twice != den:
-            break
-        factor = _cospi_ratio(twice % (2 * den), den)
-        if factor is None:
-            return None
-        prod, err = _times(prod, err, *factor)
-        k += 1
-    if k < terms:
-        cos, pi = math.cos, math.pi
-        exact_division = base & (base - 1) == 0
-        step = float(base) if base.bit_length() < 1024 else math.inf
-        y = twice / den
-        y_err = 0.5 * _EPS * y
-        for _ in range(k, terms):
-            # _times and the first branch of _cospi_reduced, inlined: y < 1/4
-            # from the second factor on
-            value = cos(pi * y) if y <= 0.25 else _cospi_reduced(y)
-            factor_err = pi * y_err + _COSPI_SLOP
-            new_prod = prod * value
-            growth = abs(value) + factor_err
-            err = (0.5 * _EPS * abs(new_prod) + abs(prod) * factor_err
-                   + err * (growth if growth < 1.0 else 1.0) + _UNDERFLOW)
-            prod = new_prod
-            y /= step
-            y_err /= step
-            if not exact_division:
-                y_err += 0.5 * _EPS * y
-    bound = err + (abs(prod) + err) * _tail_bound(log_tail, base, terms)
-    return prod, min(bound, 1.0 + abs(prod))
-
-
 @functools.lru_cache(maxsize=64)
 def _series(base: int) -> tuple[float, ...]:
     # a_i = c_i b^(2i) / (b^(2i) - 1), the coefficient of (pi y)^(2i) in
@@ -621,12 +565,60 @@ def mu_hat_product(
     numer, denom = _ratio(t)
     if numer == 0:
         return MuHatValue(False, 1, 1.0, 0.0)
-    result = _product(numer, denom, params.base, terms,
-                      _log_tail(numer, denom, params.base))
-    if result is None:
-        return MuHatValue.zero()
-    prod, bound = result
-    return MuHatValue(False, -1 if prod < 0.0 else 1, abs(prod), bound)
+    # The truncated walk: prod_{k=1..terms} cos(2 pi x / base^k) at
+    # x = numer/denom != 0, and a bound that covers the rounding AND the
+    # dropped tail.
+    #
+    # Factor k is cos(pi r_k) with r_k = s_k mod 2 and s_k = 2|x| / base^k.
+    # While s_k >= 1, r_k is reduced exactly as an integer ratio, so grid
+    # values (0, +-1 and the zeros) are decided on integers and only one
+    # rounded division reaches the cosine.  Once s_k < 1 is off the grid, no
+    # later s_j = s_k / base^(j-k) wraps or lands on the grid (they lie in
+    # (0, 1/2)), so the walk goes on in floats from half an ulp of argument
+    # error: division is exact when 2n is a power of two, else costs half
+    # an ulp per step.  A base past the float range divides by inf, which
+    # sends y to 0 from below 2^-1023: far inside the cosine slop.
+    # |mu_hat| <= 1, so 1 + |prod| is always honest; it caps the bound of
+    # a product too short for its argument.
+    base = params.base
+    log_tail = _log_tail(numer, denom, base)
+    prod = 1.0
+    err = 0.0
+    twice = 2 * abs(numer)
+    den = denom
+    k = 0
+    while k < terms:
+        den *= base
+        if twice < den and 2 * twice != den:
+            break
+        factor = _cospi_ratio(twice % (2 * den), den)
+        if factor is None:
+            return MuHatValue.zero()
+        prod, err = _times(prod, err, *factor)
+        k += 1
+    if k < terms:
+        cos, pi = math.cos, math.pi
+        exact_division = base & (base - 1) == 0
+        step = float(base) if base.bit_length() < 1024 else math.inf
+        y = twice / den
+        y_err = 0.5 * _EPS * y
+        for _ in range(k, terms):
+            # _times and the first branch of _cospi_reduced, inlined: y < 1/4
+            # from the second factor on
+            value = cos(pi * y) if y <= 0.25 else _cospi_reduced(y)
+            factor_err = pi * y_err + _COSPI_SLOP
+            new_prod = prod * value
+            growth = abs(value) + factor_err
+            err = (0.5 * _EPS * abs(new_prod) + abs(prod) * factor_err
+                   + err * (growth if growth < 1.0 else 1.0) + _UNDERFLOW)
+            prod = new_prod
+            y /= step
+            y_err /= step
+            if not exact_division:
+                y_err += 0.5 * _EPS * y
+    bound = err + (abs(prod) + err) * _tail_bound(log_tail, base, terms)
+    return MuHatValue(False, -1 if prod < 0.0 else 1, abs(prod),
+                      min(bound, 1.0 + abs(prod)))
 
 
 def mu_hat(t: QuarterInt | Fraction | float,

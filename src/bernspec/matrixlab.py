@@ -399,23 +399,9 @@ class BlockStatus:
     witness: tuple[str, str] | None  # (row, col) bits of the first nonzero entry
     exact_one: tuple[str, str] | None  # the same for the first exactly-1 entry
 
-    def to_json_obj(self) -> dict:
-        return {
-            "row_class": str(self.row_class),
-            "col_class": str(self.col_class),
-            "expected_zero": self.expected_zero,
-            "rows": self.rows,
-            "cols": self.cols,
-            "nonzero_count": self.nonzero_count,
-            "witness": None if self.witness is None else list(self.witness),
-            "exact_one": None if self.exact_one is None else list(self.exact_one),
-        }
-
 
 @dataclass
 class SparsityReport:
-    max_digits: int
-    tilde_max: int | None
     blocks: list[BlockStatus]
     check: CheckReport
 
@@ -495,7 +481,7 @@ def analyze_w0_sparsity(
             blocks.append(BlockStatus(
                 row_class, col_class, expected_zero, len(rows), len(cols),
                 nonzero, witness, exact_one))
-    return SparsityReport(max_digits, tilde_max, blocks, check)
+    return SparsityReport(blocks, check)
 
 
 def verify_w0_sparsity(max_digits: int, tilde_max: int | None = None,

@@ -90,18 +90,8 @@ def word_indices(max_digits: int, order: str = "value") -> list[int]:
 # kept because bench/tracing.py wraps it by name; nothing in bernspec calls it
 def enumerate_spectrum(params: BernoulliParams, max_digits: int,
                        order: str = "value") -> list[Word]:
-    """All spectrum words of length <= max_digits: the tuples of word_indices.
-
-    As in point_numerators, the list doubles once per digit: word m + 2^k
-    (m < 2^k) is word m padded with zeros to k digits, then the digit 1.
-    """
-    indices = word_indices(max_digits, order)
-    words: list[Word] = [()]
-    for k in range(max_digits):
-        # pads[j] takes a word of k - j digits to word m + 2^k
-        pads = [(0,) * j + (1,) for j in range(k + 1)]
-        words += [w + pads[k - len(w)] for w in words]
-    return words if order == "value" else [words[m] for m in indices]
+    """All spectrum words of length <= max_digits: the tuples of word_indices."""
+    return [index_word(m) for m in word_indices(max_digits, order)]
 
 
 def index_stratum(m: int) -> int:

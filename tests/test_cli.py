@@ -113,7 +113,7 @@ class TestMuhat:
         # rejected before the walk, which would run for days at this length;
         # with numpy None in sys.modules any numpy import raises
         monkeypatch.setitem(sys.modules, "numpy", None)
-        monkeypatch.setattr(exact, "_product", None)
+        monkeypatch.setattr(exact, "_log_tail", None)
         assert main(["muhat", "--t", "0.3", "--terms", "10000000000"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -358,7 +358,7 @@ class TestVerify:
             report.add("entry (0, 1) expected zero")
             return report
 
-        monkeypatch.setattr(cli, "verify_block_diagonal", broken)
+        monkeypatch.setattr(matrixlab, "verify_block_diagonal", broken)
         assert main(["verify", "block-diagonal"]) == 1
         out = capsys.readouterr().out
         assert "FAIL" in out

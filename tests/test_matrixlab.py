@@ -468,14 +468,6 @@ class TestSparsity:
         labels = {b.row_class for b in report.blocks}
         assert labels == {TILDE_ONE_POINT, 0, 1, 2}
 
-    def test_json_shape(self):
-        report = analyze_w0_sparsity(4)
-        obj = report.blocks[0].to_json_obj()
-        assert set(obj) == {
-            "row_class", "col_class", "expected_zero", "rows", "cols",
-            "nonzero_count", "witness", "exact_one",
-        }
-
 
 class TestViolations:
     """Every pair verifier reports the violations of a perturbed truncation.
