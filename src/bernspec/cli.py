@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -364,6 +365,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse takes a value such as -3/4 or -1e5/4 for an option and
+    # leaves --t without its argument; the --t=VALUE form reads any value
+    for i in range(len(argv) - 1, 0, -1):
+        if argv[i - 1] == "--t" and re.match(r"-\.?\d", argv[i]):
+            argv[i - 1:i + 1] = [f"--t={argv[i]}"]
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

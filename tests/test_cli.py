@@ -48,6 +48,27 @@ class TestParseFrequency:
         assert "inf" not in err and len(err) < 200
 
 
+class TestNegativeFrequency:
+    """`--t -3/4` reads as `--t=-3/4` in every command that takes --t."""
+
+    @pytest.mark.parametrize("command", [
+        ["muhat", "--json"],
+        ["parseval", "--max-digits", "3"],
+        ["chaos", "--samples", "100"],
+    ], ids=["muhat", "parseval", "chaos"])
+    def test_separate_value_reads_as_joined(self, command, capsys):
+        for t in ("-3/4", "-41.7", "-1e5/4"):
+            joined = main([*command, f"--t={t}"]), capsys.readouterr()
+            assert (main([*command, "--t", t]), capsys.readouterr()) == joined
+            assert joined[0] == (2 if t == "-1e5/4" else 0)
+
+    def test_missing_value_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["muhat", "--t", "--json"])
+        assert exc.value.code == 2
+        assert "argument --t: expected one argument" in capsys.readouterr().err
+
+
 class TestMuhat:
     def test_exact_zero(self, capsys):
         assert main(["muhat", "--n", "2", "--t", "1"]) == 0
@@ -365,6 +386,23 @@ class TestVerify:
         payload = json.loads(out[out.index("{"):])
         assert payload["failures"][0]["violations"] == [
             "entry (0, 1) expected zero"]
+
+    def test_failure_lists_ten_violations_and_counts_the_rest(self, monkeypatch,
+                                                              capsys):
+        def broken(params, max_digits):
+            report = CheckReport("block-diagonal(stub)")
+            report.checked = 13
+            for i in range(13):
+                report.add(f"entry ({i}, 0) expected zero")
+            return report
+
+        monkeypatch.setattr(matrixlab, "verify_block_diagonal", broken)
+        assert main(["verify", "block-diagonal"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:12] == [
+            "block-diagonal(stub): FAIL (13 checks, 13 violations)",
+            *[f"  violation: entry ({i}, 0) expected zero" for i in range(10)],
+            "  ... and 3 more"]
 
 
 @pytest.mark.parametrize("n", [10**160, 10**400], ids=["1e160", "1e400"])

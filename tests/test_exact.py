@@ -82,6 +82,19 @@ class TestQuarterInt:
         assert QuarterInt.from_int(7).is_integer
         assert not QuarterInt(6).is_integer
 
+    @pytest.mark.parametrize("other", [1, 0.5, Fraction(1, 4)])
+    def test_arithmetic_stays_in_quarter_integers(self, other):
+        # a sum or difference with anything but a QuarterInt, and a product
+        # with anything but an int, would leave (1/4)Z
+        q = QuarterInt(3)
+        with pytest.raises(TypeError):
+            q + other
+        with pytest.raises(TypeError):
+            q - other
+        if not isinstance(other, int):
+            with pytest.raises(TypeError):
+                q * other
+
 
 class TestParams:
     def test_rejects_bad_n(self):
@@ -561,3 +574,7 @@ class TestMuHatValueInvariants:
     def test_rejects_bad_sign(self):
         with pytest.raises(ValueError):
             MuHatValue(False, 0, 1.0, 0.0)
+
+    def test_rejects_negative_magnitude(self):
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            MuHatValue(False, 1, -0.5, 0.0)

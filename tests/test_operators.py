@@ -132,6 +132,13 @@ class TestIsometries:
         for n in (2, 3, 4):
             assert not verify_cuntz_relations(BernoulliParams(n), 4).passed
 
+    def test_verify_cuntz_names_a_strip_that_fails_to_annihilate(self, monkeypatch):
+        # strip_one must send a word starting with 0 to nothing
+        monkeypatch.setattr(operators, "strip_one", lambda m: m >> 1)
+        report = verify_cuntz_relations(BernoulliParams(2), 2)
+        assert [v for v in report.violations if v.startswith("strip1(prepend0)")] == [
+            f"strip1(prepend0) != 0 at {index_bits(m)!r}" for m in range(4)]
+
     def test_verify_cuntz_reaches_no_tuple_word(self, monkeypatch, capsys):
         # the suites, expansions, census, matrix and CLI run on indices and
         # numerators: no word tuple, no tuple value

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from bernspec.exact import BernoulliParams, QuarterInt, mu_hat
+from bernspec.exact import BernoulliParams, QuarterInt, mu_hat, mu_hat_product
 from bernspec.operators import expand_exponential, parseval_table
 from bernspec.spectrum import enumerate_spectrum, word_value
 from digit_words import bits
@@ -163,6 +163,18 @@ def test_n1_matches_viete():
             if problem:
                 problems.append(f"t={t}: {problem}")
     assert problems == []
+
+
+def test_product_too_short_for_its_argument():
+    # at t = 10^30 / 4 the one factor kept is cos(0) = 1, and the dropped
+    # tail bounds nothing: the bound is the vacuous 1 + |prod|.  The oracle's
+    # value is 0, since t is a zero-set member through its 15th factor.
+    x = Fraction(10**30, 4)
+    result = mu_hat_product(QuarterInt(10**30), BernoulliParams(2), 1)
+    assert (result.value, result.error_bound) == (1.0, 2.0)
+    assert transform(x, 2) == 0
+    assert oracle.certified_problem(
+        result.sign, result.magnitude, result.error_bound, transform(x, 2)) is None
 
 
 @pytest.mark.parametrize("n", (2, 3, 4))
